@@ -430,19 +430,15 @@ def test_bench_store_warm_read_binary(
     benchmark.extra_info["traces"] = len(addresses)
 
 
-# -- IPC throughput: pipe vs socket vs shared-memory data plane ----------------
+# -- IPC throughput: pipe vs socket transport ---------------------------------
 #
 # The same wide teacher-forced workload through a one-worker
-# ProcessBackend on each transport, with the shared-memory data plane on
-# and off. The worker's LLM is wrapped in CachingLLM and the fleet is
-# warmed with one untimed sweep, so the timed rounds are
-# serialization-bound: they measure moving traces across the process
-# boundary, not resynthesizing them. The inline rows pickle whole traces
-# through the framed channel; the shm rows ship hidden stacks through
-# the worker's arena as (offset, length, dtype, shape) descriptors and
-# keep only control messages on the channel. Compare the
-# "ipc-throughput" group's rows — `scripts/dev.sh bench-smoke` prints
-# the shm-vs-pipe ratio and MB/s from `extra_info`.
+# ProcessBackend on each transport. The worker's LLM is wrapped in
+# CachingLLM and the fleet is warmed with one untimed sweep, so the timed
+# rounds are serialization-bound: they measure moving traces across the
+# process boundary (one framed pickle per result, the hidden tensor
+# written once), not resynthesizing them. `scripts/dev.sh bench-smoke`
+# prints the unix-vs-pipe ratio of medians and MB/s from `extra_info`.
 
 
 @pytest.fixture(scope="module")
@@ -457,68 +453,24 @@ def ipc_payload_bytes(store_traces):
     return int(sum(t.hidden_matrix().nbytes for t in store_traces))
 
 
-def _bench_ipc(benchmark, requests, payload_bytes, *, transport, shared_memory):
+def _bench_ipc(benchmark, requests, payload_bytes, *, transport):
     from repro.runtime.remote import ProcessBackend
 
     with ProcessBackend(
-        CachingLLM(TransparentLLM(seed=11)),
-        workers=1,
-        transport=transport,
-        shared_memory=shared_memory,
+        CachingLLM(TransparentLLM(seed=11)), workers=1, transport=transport
     ) as backend:
         backend.ping()  # workers booted outside the timed region
         backend.generate(requests)  # warm the worker-side cache untimed
         benchmark(lambda: backend.generate(requests))
-        stats = backend.stats
-    if shared_memory:
-        assert stats.n_shm_results > 0, "arena never engaged"
-    else:
-        assert stats.n_shm_results == 0
     benchmark.extra_info["payload_bytes"] = payload_bytes
     benchmark.extra_info["traces"] = len(requests)
-    benchmark.extra_info["n_shm_results"] = stats.n_shm_results
-    benchmark.extra_info["n_shm_bytes"] = stats.n_shm_bytes
 
 
 @pytest.mark.benchmark(group="ipc-throughput")
 def test_bench_ipc_pipe_inline(benchmark, ipc_requests, ipc_payload_bytes):
-    _bench_ipc(
-        benchmark,
-        ipc_requests,
-        ipc_payload_bytes,
-        transport="pipe",
-        shared_memory=False,
-    )
-
-
-@pytest.mark.benchmark(group="ipc-throughput")
-def test_bench_ipc_pipe_shm(benchmark, ipc_requests, ipc_payload_bytes):
-    _bench_ipc(
-        benchmark,
-        ipc_requests,
-        ipc_payload_bytes,
-        transport="pipe",
-        shared_memory=True,
-    )
+    _bench_ipc(benchmark, ipc_requests, ipc_payload_bytes, transport="pipe")
 
 
 @pytest.mark.benchmark(group="ipc-throughput")
 def test_bench_ipc_unix_inline(benchmark, ipc_requests, ipc_payload_bytes):
-    _bench_ipc(
-        benchmark,
-        ipc_requests,
-        ipc_payload_bytes,
-        transport="unix",
-        shared_memory=False,
-    )
-
-
-@pytest.mark.benchmark(group="ipc-throughput")
-def test_bench_ipc_unix_shm(benchmark, ipc_requests, ipc_payload_bytes):
-    _bench_ipc(
-        benchmark,
-        ipc_requests,
-        ipc_payload_bytes,
-        transport="unix",
-        shared_memory=True,
-    )
+    _bench_ipc(benchmark, ipc_requests, ipc_payload_bytes, transport="unix")

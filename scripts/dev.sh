@@ -60,39 +60,55 @@ bench_smoke() {
     --benchmark-json=out/bench-smoke.json
 
   # Surface the headline ratios (vectorized trace synthesis, binary
-  # store warm reads, shared-memory IPC) in the job log so regressions
-  # are visible without opening the JSON artifact.
+  # store warm reads, unix-vs-pipe IPC) in the job log so regressions
+  # are visible without opening the JSON artifact. Ratios are of
+  # medians; a ratio whose two rows' interquartile ranges overlap is
+  # reported as "unresolved" — the spread does not separate them.
   python - out/bench-smoke.json <<'PY'
 import json
 import sys
 
 benchmarks = json.load(open(sys.argv[1]))["benchmarks"]
-rows = {bench["name"]: bench["stats"]["mean"] for bench in benchmarks}
+stats = {bench["name"]: bench["stats"] for bench in benchmarks}
 extra = {bench["name"]: bench.get("extra_info", {}) for bench in benchmarks}
 
+
+def ratio(base, new):
+    """``base/new`` of medians, or "unresolved" when the IQRs overlap."""
+    a, b = stats[base], stats[new]
+    if a["q1"] <= b["q3"] and b["q1"] <= a["q3"]:
+        return "unresolved"
+    return f"{a['median'] / b['median']:.1f}x"
+
+
+def ms(name):
+    return f"{stats[name]['median'] * 1e3:.1f}ms"
+
+
 for mode in ("forced", "free"):
-    scalar = rows.get(f"test_bench_synthesis_scalar_{mode}")
-    fast = rows.get(f"test_bench_synthesis_vectorized_{mode}")
-    if scalar and fast:
-        print(f"trace-synthesis {mode}: {scalar / fast:.1f}x "
-              f"(scalar {scalar * 1e3:.1f}ms -> vectorized {fast * 1e3:.1f}ms)")
+    scalar = f"test_bench_synthesis_scalar_{mode}"
+    fast = f"test_bench_synthesis_vectorized_{mode}"
+    if scalar in stats and fast in stats:
+        print(f"trace-synthesis {mode}: {ratio(scalar, fast)} "
+              f"(scalar {ms(scalar)} -> vectorized {ms(fast)})")
 
-b64 = rows.get("test_bench_store_warm_read_base64")
-raw = rows.get("test_bench_store_warm_read_binary")
-if b64 and raw:
-    nbytes = extra["test_bench_store_warm_read_binary"].get("payload_bytes", 0)
-    print(f"store-roundtrip warm read: {b64 / raw:.1f}x "
-          f"(base64 {b64 * 1e3:.1f}ms -> binary mmap {raw * 1e3:.1f}ms, "
-          f"{nbytes / raw / 1e6:.0f} MB/s)")
+b64 = "test_bench_store_warm_read_base64"
+raw = "test_bench_store_warm_read_binary"
+if b64 in stats and raw in stats:
+    nbytes = extra[raw].get("payload_bytes", 0)
+    print(f"store-roundtrip warm read: {ratio(b64, raw)} "
+          f"(base64 {ms(b64)} -> binary mmap {ms(raw)}, "
+          f"{nbytes / stats[raw]['median'] / 1e6:.0f} MB/s)")
 
-pipe = rows.get("test_bench_ipc_pipe_inline")
-shm = rows.get("test_bench_ipc_pipe_shm")
-if pipe and shm:
-    nbytes = extra["test_bench_ipc_pipe_shm"].get("payload_bytes", 0)
-    traces = extra["test_bench_ipc_pipe_shm"].get("traces", 0)
-    print(f"ipc-throughput pipe: {pipe / shm:.1f}x "
-          f"(inline {pipe * 1e3:.1f}ms -> shm {shm * 1e3:.1f}ms, "
-          f"{nbytes / shm / 1e6:.0f} MB/s, {traces / shm:.0f} traces/s)")
+pipe = "test_bench_ipc_pipe_inline"
+unix = "test_bench_ipc_unix_inline"
+if pipe in stats and unix in stats:
+    nbytes = extra[unix].get("payload_bytes", 0)
+    traces = extra[unix].get("traces", 0)
+    median = stats[unix]["median"]
+    print(f"ipc-throughput unix vs pipe: {ratio(pipe, unix)} "
+          f"(pipe {ms(pipe)} -> unix {ms(unix)}, "
+          f"{nbytes / median / 1e6:.0f} MB/s, {traces / median:.0f} traces/s)")
 PY
 }
 

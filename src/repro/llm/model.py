@@ -35,7 +35,7 @@ internal error plan is never exposed to inference-time components.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -110,6 +110,11 @@ class GenerationTrace:
     tensor when the trace came off the vectorized fast path (each
     ``step.hidden`` is a view of one row); traces assembled step-by-step
     leave it ``None`` and :meth:`hidden_matrix` stacks on demand.
+
+    This is also the wire format: a trace with a stack pickles it once,
+    its steps travel without ``hidden``, and loading rebuilds each
+    ``step.hidden`` as a view of row ``i`` again. Stack-less and empty
+    traces pickle their fields as they are.
     """
 
     instance_id: str
@@ -136,6 +141,19 @@ class GenerationTrace:
         if not self.steps:
             return np.zeros((0, 0, 0))
         return np.stack([s.hidden for s in self.steps])
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        if self.hidden_stack is not None and len(self.hidden_stack) == len(self.steps):
+            state["steps"] = [replace(step, hidden=None) for step in self.steps]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        stack = self.hidden_stack
+        if stack is not None and len(stack) == len(self.steps):
+            for step, row in zip(self.steps, stack):
+                step.hidden = row
 
     def max_probs(self) -> np.ndarray:
         return np.array([s.max_prob for s in self.steps], dtype=float)

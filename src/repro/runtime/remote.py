@@ -41,40 +41,20 @@ message dicts tagged with ``"op"``::
     worker -> supervisor: {"op": "hello", "pid": ..., "host": ...,
                            "token": ..., "capabilities": {...}}   (socket only)
     supervisor -> worker: {"op": "init", "llm": TransparentLLM}
-    worker -> supervisor: {"op": "ready", "pid": ...,
-                           "shm": {"name": ..., "size": ...}}  (arena offer)
-    supervisor -> worker: {"op": "shm", "enabled": bool}    (arena accepted?)
+    worker -> supervisor: {"op": "ready", "pid": ...}
     supervisor -> worker: {"op": "generate", "id": n, "request": GenerationRequest}
     worker -> supervisor: {"op": "result", "id": n, "trace": GenerationTrace}
-                          | {"op": "result", "id": n, "trace": <stripped>,
-                             "shm": {"offset", "length", "dtype", "shape"}}
                           | {"op": "error", "id": n, "error": traceback str}
-    supervisor -> worker: {"op": "arena_free", "length": n}  (shm block read)
     supervisor -> worker: {"op": "ping", "id": n}   -> {"op": "pong", "id": n}
     worker -> supervisor: {"op": "heartbeat", "pid": ...}         (socket only)
     worker -> supervisor: {"op": "draining", "pid": ...}   (SIGTERM received)
     supervisor -> worker: {"op": "goodbye", "reason": ...} (hello rejected)
     supervisor -> worker: {"op": "shutdown"}        (or EOF)
 
-The shared-memory data plane
-----------------------------
-Control messages always travel as framed pickles, but the dominant
-bytes of a result — the trace's hidden-state tensor — can skip the
-stream entirely: each worker creates a ``multiprocessing.shared_memory``
-arena (a ring buffer, sized by ``REPRO_SHM_ARENA_BYTES``) and offers it
-in its ready message. A supervisor on the same machine attaches and
-acks ``{"op": "shm", "enabled": True}``; from then on the worker writes
-each tensor block into the ring and sends the result with the hidden
-states stripped plus an ``(offset, length, dtype, shape)`` descriptor.
-The supervisor copies the block out, rebuilds the trace bit-exactly,
-and returns the ring space with ``arena_free`` (results and acks are
-both serial per worker, so the ring is a strict FIFO). Every failure
-mode falls back to inline pickling — a cross-machine TCP worker whose
-arena the supervisor cannot attach, an arena allocation failure, a
-block too small (``< 2 KiB``) or too large for the ring — and a torn
-descriptor retires the worker exactly like a torn frame, so the
-kill-one-worker byte-identity invariant holds unchanged on every
-transport and either data plane (``ProcessBackend(shared_memory=...)``).
+Every result — hidden-state tensor included — travels as one framed
+pickle. A :class:`~repro.llm.model.GenerationTrace` pickles its
+``hidden_stack`` once and rebuilds the per-step ``hidden`` rows as views
+of it on load, so a result frame carries one copy of the tensor.
 
 Hardening: the supervisor can carry a ``fleet_token`` — socket hellos
 must present it (compared with ``hmac.compare_digest``) or the
@@ -119,13 +99,9 @@ import tempfile
 import threading
 import time
 import traceback
-from collections import deque
-from dataclasses import dataclass, replace
-from multiprocessing import resource_tracker, shared_memory
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Sequence
-
-import numpy as np
 
 from repro.llm.model import GenerationTrace, TransparentLLM
 from repro.runtime.service import (
@@ -147,8 +123,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "CHAOS_DELAY_ENV",
     "DEFAULT_HEARTBEAT_S",
-    "SHM_ARENA_ENV",
-    "SHM_MIN_BYTES",
     "PipeTransport",
     "ProcessBackend",
     "SocketTransport",
@@ -169,11 +143,6 @@ __all__ = [
 ]
 
 CHAOS_DELAY_ENV = "REPRO_WORKER_CHAOS_DELAY_MS"
-#: Per-worker shared-memory arena size in bytes (0 disables the arena).
-SHM_ARENA_ENV = "REPRO_SHM_ARENA_BYTES"
-DEFAULT_SHM_ARENA_BYTES = 8 * 1024 * 1024
-#: Tensors below this ride inline — descriptor overhead beats the copy.
-SHM_MIN_BYTES = 2048
 DEFAULT_HEARTBEAT_S = 2.0
 
 _HEADER = struct.Struct(">I")
@@ -375,165 +344,16 @@ class SocketTransport:
                 pass
 
 
-# -- the worker-side shared-memory arena --------------------------------------
-
-
-def _untrack_shm(shm: shared_memory.SharedMemory) -> None:
-    """Stop the resource tracker from owning ``shm``'s lifetime.
-
-    Python 3.11/3.12 register every attach with the tracker, which would
-    double-unlink (and warn about) arenas the worker already owns; the
-    supervisor side only ever borrows a map, so it opts out. Best-effort
-    — a tracker API change must never break the data plane.
-    """
-    try:
-        resource_tracker.unregister(shm._name, "shared_memory")
-    except Exception:  # pragma: no cover  # repro-lint: ignore[exception-hygiene] best-effort tracker opt-out; a tracker API change must never break the data plane
-        pass
-
-
-class _WorkerArena:
-    """The worker's half of the data plane: an SPSC ring in shared memory.
-
-    The worker (single-threaded request loop) is the only producer and
-    the only consumer of ring *space*: blocks are placed at ``tail`` and
-    freed strictly FIFO when the supervisor's ``arena_free`` acks arrive
-    on the same serial channel as requests — so no locking is needed.
-    ``enabled`` stays False (every result rides inline) until the
-    supervisor confirms it attached.
-    """
-
-    def __init__(self, shm: shared_memory.SharedMemory):
-        self.shm = shm
-        self.size = shm.size
-        self.enabled = False
-        self.tail = 0
-        self.live: "deque[tuple[int, int]]" = deque()  # (offset, length) FIFO
-        self.disposed = False
-
-    @classmethod
-    def create(cls) -> "_WorkerArena | None":
-        """A fresh arena sized by the environment, or None when disabled
-        (``REPRO_SHM_ARENA_BYTES=0``) or shared memory is unavailable."""
-        try:
-            size = int(os.environ.get(SHM_ARENA_ENV, "") or DEFAULT_SHM_ARENA_BYTES)
-        except ValueError:
-            size = DEFAULT_SHM_ARENA_BYTES
-        if size <= 0:
-            return None
-        try:
-            return cls(shared_memory.SharedMemory(create=True, size=size))
-        except (OSError, ValueError):
-            return None  # no /dev/shm (or too small): inline pickling only
-
-    def offer(self) -> dict:
-        return {"name": self.shm.name, "size": self.size}
-
-    def _place(self, length: int) -> "int | None":
-        """Reserve ``length`` contiguous bytes in the ring, or None."""
-        if not self.live:
-            if length > self.size:
-                return None
-            offset = 0
-        else:
-            head = self.live[0][0]
-            if self.tail >= head:  # live region is unwrapped
-                if self.size - self.tail >= length:
-                    offset = self.tail
-                elif head >= length:
-                    offset = 0  # wrap: the space before head fits it
-                else:
-                    return None
-            elif head - self.tail >= length:  # already wrapped
-                offset = self.tail
-            else:
-                return None
-        self.tail = offset + length
-        self.live.append((offset, length))
-        return offset
-
-    def stash(self, trace: GenerationTrace) -> "tuple[GenerationTrace, dict] | None":
-        """Park a trace's tensor in the ring; stripped trace + descriptor.
-
-        None (caller sends the trace inline) when the arena is not
-        confirmed, the block is too small to be worth it, or the ring
-        has no room right now.
-        """
-        if self.disposed or not self.enabled:
-            return None
-        stack = np.ascontiguousarray(trace.hidden_matrix())
-        if stack.nbytes < SHM_MIN_BYTES or stack.nbytes > self.size:
-            return None
-        offset = self._place(stack.nbytes)
-        if offset is None:
-            return None
-        view = np.ndarray(stack.shape, dtype=stack.dtype, buffer=self.shm.buf, offset=offset)
-        view[:] = stack
-        stripped = replace(
-            trace,
-            steps=[replace(step, hidden=None) for step in trace.steps],
-            hidden_stack=None,
-        )
-        descriptor = {
-            "offset": int(offset),
-            "length": int(stack.nbytes),
-            "dtype": stack.dtype.str,
-            "shape": [int(n) for n in stack.shape],
-        }
-        return stripped, descriptor
-
-    def free(self, length: int) -> None:
-        """Return the oldest live block (the supervisor read it)."""
-        if self.live:
-            self.live.popleft()
-        if not self.live:
-            self.tail = 0
-        _ = length  # FIFO by construction; the length is advisory
-
-    def dispose(self, unlink: bool) -> None:
-        """Release the arena (the worker unlinks; it owns the name)."""
-        if self.disposed:
-            return
-        self.disposed = True
-        self.enabled = False
-        try:
-            self.shm.close()
-        except (BufferError, OSError):
-            pass
-        if unlink:
-            try:
-                self.shm.unlink()
-            except (FileNotFoundError, OSError):
-                pass
-
-
 # -- the worker loops ---------------------------------------------------------
 
 
-def _send_result(send: Callable, arena: "_WorkerArena | None", request_id, trace) -> None:
-    """One result frame — tensor via the arena when possible, else inline."""
-    if arena is not None and arena.enabled:
-        try:
-            placed = arena.stash(trace)
-        except Exception:  # repro-lint: ignore[exception-hygiene] any arena failure falls back to the inline path, never a loss
-            placed = None
-        if placed is not None:
-            stripped, descriptor = placed
-            send({"op": "result", "id": request_id, "trace": stripped, "shm": descriptor})
-            return
-    send({"op": "result", "id": request_id, "trace": trace})
-
-
-def _serve_requests(recv: Callable, send: Callable, llm, arena=None) -> int:
+def _serve_requests(recv: Callable, send: Callable, llm) -> int:
     """The shared request loop: generate/ping until EOF or shutdown.
 
     Request-level failures are reported as ``error`` messages (the loop
     keeps serving); only a broken channel or a shutdown message ends it.
     ``send`` must be safe to call from this thread while heartbeats (if
-    any) use the same lock-wrapped callable from theirs. ``arena`` is
-    this worker's shared-memory ring: confirmed/declined by the
-    supervisor's ``shm`` ack, drained by its ``arena_free`` acks — both
-    arriving on this same serial channel.
+    any) use the same lock-wrapped callable from theirs.
     """
     chaos_delay = float(os.environ.get(CHAOS_DELAY_ENV, "0") or 0) / 1000.0
     while True:
@@ -543,17 +363,6 @@ def _serve_requests(recv: Callable, send: Callable, llm, arena=None) -> int:
         op = message.get("op")
         if op == "ping":
             send({"op": "pong", "id": message["id"]})
-            continue
-        if op == "shm":
-            if arena is not None:
-                if message.get("enabled"):
-                    arena.enabled = True
-                else:
-                    arena.dispose(unlink=True)
-            continue
-        if op == "arena_free":
-            if arena is not None:
-                arena.free(int(message.get("length", 0)))
             continue
         if op != "generate":
             continue  # future-proofing: unknown supervisor ops are ignored
@@ -570,7 +379,7 @@ def _serve_requests(recv: Callable, send: Callable, llm, arena=None) -> int:
                 {"op": "error", "id": message["id"], "error": traceback.format_exc()}
             )
             continue
-        _send_result(send, arena, message["id"], trace)
+        send({"op": "result", "id": message["id"], "trace": trace})
 
 
 def _drain_notifier(send: Callable, drain_event: threading.Event) -> None:
@@ -616,16 +425,8 @@ def worker_main(stdin=None, stdout=None, drain_event=None) -> int:
             name="repro-worker-drain",
             daemon=True,
         ).start()
-    arena = _WorkerArena.create()
-    ready = {"op": "ready", "pid": os.getpid()}
-    if arena is not None:
-        ready["shm"] = arena.offer()
-    send(ready)
-    try:
-        return _serve_requests(lambda: recv_message(stdin), send, llm, arena)
-    finally:
-        if arena is not None:
-            arena.dispose(unlink=True)
+    send({"op": "ready", "pid": os.getpid()})
+    return _serve_requests(lambda: recv_message(stdin), send, llm)
 
 
 def _heartbeat_loop(send: Callable, stop: threading.Event, interval_s: float) -> None:
@@ -701,17 +502,11 @@ def socket_worker_main(
                 name="repro-worker-drain",
                 daemon=True,
             ).start()
-        arena = _WorkerArena.create()
-        ready = {"op": "ready", "pid": os.getpid()}
-        if arena is not None:
-            ready["shm"] = arena.offer()
-        send(ready)
+        send({"op": "ready", "pid": os.getpid()})
         try:
-            return _serve_requests(transport.recv, send, llm, arena)
+            return _serve_requests(transport.recv, send, llm)
         finally:
             stop.set()
-            if arena is not None:
-                arena.dispose(unlink=True)
     finally:
         transport.close()
 
@@ -805,8 +600,6 @@ class SupervisorStats:
     n_draining: int = 0
     n_drained: int = 0
     n_rejected_hellos: int = 0
-    n_shm_results: int = 0
-    n_shm_bytes: int = 0
 
     def as_dict(self) -> dict:
         return {
@@ -823,8 +616,6 @@ class SupervisorStats:
             "n_draining": self.n_draining,
             "n_drained": self.n_drained,
             "n_rejected_hellos": self.n_rejected_hellos,
-            "n_shm_results": self.n_shm_results,
-            "n_shm_bytes": self.n_shm_bytes,
         }
 
 
@@ -872,7 +663,6 @@ class _Worker:
         "ewma_s",
         "inflight",
         "last_seen",
-        "arena",
     )
 
     def __init__(
@@ -897,9 +687,6 @@ class _Worker:
         self.ewma_s: "float | None" = None  # observed request latency
         self.inflight = 0  # guarded-by: ProcessBackend._lock
         self.last_seen = time.monotonic()
-        # The worker's shared-memory arena, attached supervisor-side
-        # (None for cross-machine workers and the inline data plane).
-        self.arena: "shared_memory.SharedMemory | None" = None
 
     def alive_probe(self) -> bool:
         """Cheap liveness: subprocess poll when we own one, else channel."""
@@ -939,14 +726,9 @@ class ProcessBackend:
     retires a worker gracefully: no new dispatch, in-flight work
     completes, polite shutdown, zero requeues.
 
-    Data plane: with ``shared_memory=True`` (default) each same-machine
-    worker's tensors travel through its shared-memory arena instead of
-    the pickle stream (see the module docstring); remote workers and any
-    arena failure fall back to inline pickling per result, silently.
-
     Determinism: workers run the same ``TransparentLLM`` code as
-    :class:`~repro.runtime.service.SimulatorBackend` and both data
-    planes round-trip traces bit-exactly, so results are byte-identical
+    :class:`~repro.runtime.service.SimulatorBackend` and pickle
+    round-trips traces bit-exactly, so results are byte-identical
     to the in-process backends and ``identity()`` (the simulator
     identity tuple) keeps the persistent-cache namespace shared across
     all of them.
@@ -965,7 +747,6 @@ class ProcessBackend:
         heartbeat_s: float = DEFAULT_HEARTBEAT_S,
         request_timeout_s: "float | None" = None,
         fleet_token: "str | None" = None,
-        shared_memory: bool = True,
     ):
         if transport not in TRANSPORTS:
             raise ValueError(f"unknown transport {transport!r}; pick from {TRANSPORTS}")
@@ -984,7 +765,6 @@ class ProcessBackend:
             None if request_timeout_s is None else float(request_timeout_s)
         )
         self.fleet_token = fleet_token
-        self.shared_memory = bool(shared_memory)
         self.workers = int(workers)
         self.max_restarts = 2 * max(1, self.workers) if max_restarts is None else int(max_restarts)
         self.startup_timeout_s = float(startup_timeout_s)
@@ -1011,8 +791,6 @@ class ProcessBackend:
         self._n_deadline_exceeded = 0  # guarded-by: self._lock
         self._n_drained = 0  # guarded-by: self._lock
         self._n_rejected_hellos = 0  # guarded-by: self._lock
-        self._n_shm_results = 0  # guarded-by: self._lock
-        self._n_shm_bytes = 0  # guarded-by: self._lock
         # Deadline-disowned in-flight ids → the worker still computing
         # them; their late results adjust bookkeeping, never duplicate.
         self._expired: "dict[int, _Worker]" = {}  # guarded-by: self._lock
@@ -1052,8 +830,6 @@ class ProcessBackend:
                 n_draining=sum(1 for worker in self._alive() if worker.draining),
                 n_drained=self._n_drained,
                 n_rejected_hellos=self._n_rejected_hellos,
-                n_shm_results=self._n_shm_results,
-                n_shm_bytes=self._n_shm_bytes,
             )
 
     @property
@@ -1506,7 +1282,6 @@ class ProcessBackend:
                     proc.kill()
                     proc.wait()
             worker.transport.close()
-            self._detach_arena(worker)
 
         threading.Thread(
             target=_reap, name=f"generation-worker-reaper-{worker.index}", daemon=True
@@ -1576,7 +1351,6 @@ class ProcessBackend:
             worker.transport.close()
             if worker.reader is not None:
                 worker.reader.join(timeout=5)
-            self._detach_arena(worker)
             if worker.log_handle is not None:
                 worker.log_handle.close()
         self._close_listener()
@@ -1590,6 +1364,12 @@ class ProcessBackend:
         acceptor, self._acceptor = self._acceptor, None
         address, self._listen_address = self._listen_address, None
         if listener is not None:
+            # close() alone leaves the acceptor blocked in accept();
+            # shutdown() wakes it so the join below returns at once.
+            try:
+                listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             try:
                 listener.close()
             except OSError:
@@ -1766,10 +1546,6 @@ class ProcessBackend:
             worker.last_seen = time.monotonic()
             op = message.get("op")
             if op == "ready":
-                # Attach (or decline) the worker's arena before ready is
-                # visible: the worker keeps sending inline until the ack
-                # lands, so the ordering race with generate is benign.
-                self._attach_arena(worker, message.get("shm"))
                 worker.ready.set()
             elif op == "heartbeat":
                 with self._lock:
@@ -1779,74 +1555,8 @@ class ProcessBackend:
                 # as a supervisor-side drain() call.
                 self._begin_drain(worker)
             elif op in ("result", "error", "pong"):
-                if op == "result" and "shm" in message:
-                    try:
-                        message["trace"] = self._rehydrate_shm(
-                            worker, message["trace"], message["shm"]
-                        )
-                    # repro-lint: ignore[exception-hygiene] torn data plane == torn frame: break retires the worker and requeues
-                    except Exception:
-                        # A descriptor we cannot honor is a torn data
-                        # plane: same recovery as a torn frame — retire
-                        # the worker, requeue its in-flight work, keep
-                        # exactly-once intact.
-                        break
                 self._resolve(message, worker)
         self._retire_worker(worker)
-
-    def _attach_arena(self, worker: _Worker, offer) -> None:
-        """Map the worker's offered arena; always answer the offer."""
-        if not isinstance(offer, dict) or not offer.get("name"):
-            return  # nothing offered (pre-arena worker): nothing to ack
-        enabled = False
-        if self.shared_memory:
-            try:
-                arena = shared_memory.SharedMemory(name=str(offer["name"]))
-                _untrack_shm(arena)  # the worker owns the unlink
-                worker.arena = arena
-                enabled = True
-            except (OSError, ValueError):
-                # Different machine (TCP) or a vanished segment: the
-                # worker keeps pickling inline. Not an error.
-                worker.arena = None
-        self._send(worker, {"op": "shm", "enabled": enabled})
-
-    def _rehydrate_shm(self, worker: _Worker, trace, descriptor: dict):
-        """Rebuild a stripped trace from the worker's arena, bit-exactly.
-
-        Copies the block out (the ring slot is reused after the ack),
-        then immediately returns the space with ``arena_free`` — acks
-        travel in result order, matching the worker's FIFO ring.
-        """
-        arena = worker.arena
-        if arena is None:
-            raise ValueError("shm result from a worker with no attached arena")
-        offset = int(descriptor["offset"])
-        length = int(descriptor["length"])
-        dtype = np.dtype(descriptor["dtype"])
-        shape = tuple(int(n) for n in descriptor["shape"])
-        if offset < 0 or offset + length > arena.size:
-            raise ValueError(f"shm descriptor out of bounds: {descriptor}")
-        if int(np.prod(shape, dtype=np.int64)) * dtype.itemsize != length:
-            raise ValueError(f"shm descriptor shape/length mismatch: {descriptor}")
-        stack = np.ndarray(shape, dtype=dtype, buffer=arena.buf, offset=offset).copy()
-        self._send(worker, {"op": "arena_free", "length": length})
-        steps = [
-            replace(step, hidden=stack[i]) for i, step in enumerate(trace.steps)
-        ]
-        with self._lock:
-            self._n_shm_results += 1
-            self._n_shm_bytes += length
-        return replace(trace, steps=steps, hidden_stack=stack)
-
-    def _detach_arena(self, worker: _Worker) -> None:
-        """Drop the supervisor-side map (the worker unlinks the name)."""
-        arena, worker.arena = worker.arena, None
-        if arena is not None:
-            try:
-                arena.close()
-            except (BufferError, OSError):  # pragma: no cover - live views
-                pass
 
     def _resolve(self, message: dict, worker: _Worker) -> None:
         finish = False
@@ -1928,10 +1638,11 @@ class ProcessBackend:
                     # orphans: dispatch below still tries the survivors
                     # (and fails each request cleanly if none remain).
                     pass
-        if worker.proc is not None and worker.proc.poll() is None:
+        # A closing supervisor sees each worker's EOF while it is still
+        # exiting; close() itself escalates the ones that outstay it.
+        if not closing and worker.proc is not None and worker.proc.poll() is None:
             worker.proc.kill()  # broken channel but still running
         worker.transport.kill()
-        self._detach_arena(worker)
         for _request_id, pending in orphaned:
             if closing or pending.request is None:  # pings don't requeue
                 pending.resolve(error=WorkerCrashError("worker died"))
@@ -1967,7 +1678,6 @@ class ProcessBackend:
             "heartbeat_s": self.heartbeat_s,
             "request_timeout_s": self.request_timeout_s,
             "fleet_token": self.fleet_token,
-            "shared_memory": self.shared_memory,
         }
 
     def __setstate__(self, state: dict) -> None:

@@ -270,7 +270,6 @@ class BackendSpec:
     address: "str | None" = None
     request_timeout_s: "float | None" = None
     fleet_token: "str | None" = None
-    shared_memory: bool = True
 
     def __post_init__(self):
         if self.kind not in GEN_BACKENDS:
@@ -401,15 +400,6 @@ class BackendSpec:
             "present at hello; unauthenticated connections are dropped "
             f"(default: the {FLEET_TOKEN_ENV} environment variable, if set)",
         )
-        group.add_argument(
-            "--no-shared-memory",
-            dest="shared_memory",
-            action="store_false",
-            default=spec.shared_memory,
-            help="process backend: disable the per-worker shared-memory data "
-            "plane and pickle every trace inline (results are byte-identical "
-            "either way; remote TCP workers always fall back to inline)",
-        )
 
     @classmethod
     def from_args(
@@ -438,7 +428,6 @@ class BackendSpec:
             address=getattr(args, "address", None),
             request_timeout_s=getattr(args, "request_timeout_s", None),
             fleet_token=getattr(args, "fleet_token", None),
-            shared_memory=getattr(args, "shared_memory", True),
         )
         if gen_workers is not None:
             spec = replace(spec, workers=int(gen_workers))
@@ -470,8 +459,6 @@ class BackendSpec:
             argv += ["--request-timeout-s", repr(self.request_timeout_s)]
         if self.fleet_token is not None:
             argv += ["--fleet-token", self.fleet_token]
-        if not self.shared_memory:
-            argv += ["--no-shared-memory"]
         return argv
 
     # -- construction --------------------------------------------------------
@@ -512,7 +499,6 @@ class BackendSpec:
                 address=self.address,
                 request_timeout_s=self.request_timeout_s,
                 fleet_token=token,
-                shared_memory=self.shared_memory,
                 **extra,
             )
         return SimulatorBackend(llm, pool=pool)

@@ -143,7 +143,6 @@ def specs(draw) -> BackendSpec:
         address=address,
         request_timeout_s=draw(st.sampled_from([None, 0.05, 0.5, 30.0])),
         fleet_token=draw(st.one_of(st.none(), st.just("s3cret"))),
-        shared_memory=draw(st.booleans()),
     )
 
 

@@ -600,7 +600,7 @@ class TestSelfCheck:
     def test_real_ipc_module_has_both_sides(self):
         # Guard against the ipc checker silently disengaging from
         # remote.py (e.g. the role heuristic drifting): it must see
-        # traffic on both sides, including the shm data-plane ops.
+        # traffic on both sides, including the lifecycle ops.
         from repro.analysis.ipc import _collect
         from repro.analysis.core import SourceFile
 
@@ -608,7 +608,7 @@ class TestSelfCheck:
         source = SourceFile.load(remote, "src/repro/runtime/remote.py")
         sent, handled = _collect(source, ("Backend", "Supervisor"))
         assert "generate" in sent["supervisor"]
-        assert "arena_free" in sent["supervisor"]
+        assert "shutdown" in sent["supervisor"]
         assert "result" in sent["worker"]
         assert "hello" in sent["worker"]
         assert "generate" in handled["worker"]

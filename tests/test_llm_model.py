@@ -1,14 +1,17 @@
 """Tests for the generation session: divergence, teacher forcing,
 realignment — driven by hand-constructed error events."""
 
+import pickle
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from repro.llm.errors import ErrorEvent
-from repro.llm.model import GenerationSession, TransparentLLM
+from repro.llm.model import GenerationSession, GenerationStep, GenerationTrace, TransparentLLM
 from repro.llm.tokenizer import EOS, SEP, tokenize_items
 
-from helpers import make_instance, make_racing_db
+from helpers import make_instance, make_racing_db, make_trace
 
 
 @pytest.fixture(scope="module")
@@ -243,3 +246,74 @@ class TestTeacherForcedTraceAPI:
             assert list(trace.items) == list(inst.gold_items)
             for step in trace.steps:
                 assert step.is_branching == (step.proposed != step.committed)
+
+
+def assert_bit_exact(got, want):
+    """Every field equal; hidden tensors equal byte for byte."""
+    assert (got.instance_id, got.aborted) == (want.instance_id, want.aborted)
+    assert len(got.steps) == len(want.steps)
+    for got_step, want_step in zip(got.steps, want.steps):
+        for f in fields(GenerationStep):
+            if f.name != "hidden":
+                assert getattr(got_step, f.name) == getattr(want_step, f.name)
+        assert got_step.hidden.dtype == want_step.hidden.dtype
+        assert got_step.hidden.shape == want_step.hidden.shape
+        assert got_step.hidden.tobytes() == want_step.hidden.tobytes()
+    if want.hidden_stack is None:
+        assert got.hidden_stack is None
+    else:
+        assert got.hidden_stack.dtype == want.hidden_stack.dtype
+        assert got.hidden_stack.tobytes() == want.hidden_stack.tobytes()
+
+
+class TestTraceWireFormat:
+    """A trace pickles its hidden tensor once and rebuilds the per-step
+    rows as views of it on load."""
+
+    @pytest.fixture(scope="class")
+    def traces(self, llm, bird_tiny):
+        from repro.core.pipeline import RTSPipeline
+
+        instances = [
+            RTSPipeline.instance_for(example, bird_tiny, "table")
+            for example in bird_tiny.dev.examples[:6]
+        ]
+        return [llm.generate(i) for i in instances] + [
+            llm.teacher_forced_trace(i) for i in instances
+        ]
+
+    def test_free_and_forced_round_trip_bit_exact(self, traces):
+        for trace in traces:
+            assert trace.hidden_stack is not None and trace.steps
+            assert_bit_exact(pickle.loads(pickle.dumps(trace)), trace)
+
+    def test_steps_are_views_of_the_loaded_stack(self, traces):
+        for trace in traces:
+            loaded = pickle.loads(pickle.dumps(trace))
+            for i, step in enumerate(loaded.steps):
+                assert np.shares_memory(step.hidden, loaded.hidden_stack)
+                assert np.array_equal(step.hidden, loaded.hidden_stack[i])
+
+    def test_pickled_size_is_one_tensor(self, traces):
+        for trace in traces:
+            nbytes = trace.hidden_stack.nbytes
+            assert nbytes < len(pickle.dumps(trace)) < 1.5 * nbytes
+
+    def test_pickling_leaves_the_source_trace_intact(self, traces):
+        trace = traces[0]
+        pickle.dumps(trace)
+        for i, step in enumerate(trace.steps):
+            assert np.shares_memory(step.hidden, trace.hidden_stack)
+            assert np.array_equal(step.hidden, trace.hidden_stack[i])
+
+    def test_empty_trace_round_trips(self):
+        empty = GenerationTrace("empty", [], aborted=True, hidden_stack=np.zeros((0, 0, 0)))
+        loaded = pickle.loads(pickle.dumps(empty))
+        assert loaded.steps == [] and loaded.aborted
+        assert loaded.hidden_stack.shape == (0, 0, 0)
+
+    def test_stackless_trace_round_trips_per_step(self):
+        trace = make_trace("stackless", n_steps=3)
+        loaded = pickle.loads(pickle.dumps(trace))
+        assert_bit_exact(loaded, trace)
+        assert all(step.hidden is not None for step in loaded.steps)

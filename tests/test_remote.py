@@ -17,10 +17,8 @@ Pins down the tentpole guarantees:
   hanging them;
 * lifecycle: close() terminates the fleet (no worker outlives the
   backend), the backend restarts cleanly afterwards, and it pickles as
-  configuration only;
-* the shared-memory data plane engages by default on local workers,
-  stays byte-identical to inline pickling, falls back inline when
-  disabled / unoffered / undersized, and preserves crash recovery.
+  configuration only; a polite close() is prompt on every transport
+  and lets its workers exit cleanly (code 0, no SIGKILL).
 """
 
 from __future__ import annotations
@@ -40,7 +38,6 @@ from repro.core.pipeline import RTSPipeline
 from repro.llm.model import SIMULATOR_VERSION, TransparentLLM
 from repro.runtime.remote import (
     CHAOS_DELAY_ENV,
-    SHM_ARENA_ENV,
     ProcessBackend,
     WorkerCrashError,
     read_frame,
@@ -394,6 +391,32 @@ def test_socket_sigkill_one_worker_mid_batch_loses_nothing(
     assert wait_for_exit(victim)
 
 
+def test_unix_close_is_prompt_and_stops_the_acceptor():
+    """close() wakes the acceptor out of accept() instead of waiting out
+    its join timeout with the thread still blocked."""
+    backend = ProcessBackend(TransparentLLM(seed=11), workers=1, transport="unix")
+    backend.start()
+    assert len(backend.ping()) == 1
+    acceptor = backend._acceptor
+    started = time.monotonic()
+    backend.close()
+    elapsed = time.monotonic() - started
+    assert elapsed < backend.shutdown_timeout_s / 2, f"close took {elapsed:.2f}s"
+    assert not acceptor.is_alive()
+
+
+@pytest.mark.parametrize("transport", ["unix", "tcp"])
+def test_polite_close_lets_socket_workers_exit_cleanly(transport):
+    """A worker's EOF during close() is it exiting, not a crash: no
+    SIGKILL, every spawned worker exits with code 0."""
+    backend = ProcessBackend(TransparentLLM(seed=11), workers=2, transport=transport)
+    backend.start()
+    assert len(backend.ping()) == 2
+    procs = [worker.proc for worker in backend._fleet]
+    backend.close()
+    assert [proc.returncode for proc in procs] == [0, 0]
+
+
 def test_socket_workers_heartbeat():
     with ProcessBackend(
         TransparentLLM(seed=11), workers=1, transport="unix", heartbeat_s=0.05
@@ -659,75 +682,3 @@ def test_fleet_token_does_not_block_supervisor_spawned_workers(table_instances):
         assert_traces_equal(
             traces[0], TransparentLLM(seed=11).generate(table_instances[0])
         )
-
-
-# -- shared-memory data plane --------------------------------------------------
-
-
-def test_shm_data_plane_engages_and_stays_byte_identical(reference_traces):
-    requests, reference = reference_traces
-    with ProcessBackend(TransparentLLM(seed=11), workers=2) as backend:
-        traces = backend.generate(requests)
-        stats = backend.stats
-    assert stats.n_shm_results > 0, f"arena never engaged: {stats}"
-    assert stats.n_shm_bytes > 0
-    for want, got in zip(reference, traces):
-        assert_traces_equal(got, want)
-        assert got.hidden_matrix().tobytes() == want.hidden_matrix().tobytes()
-
-
-def test_shm_disabled_backend_is_inline_and_identical(reference_traces):
-    requests, reference = reference_traces
-    with ProcessBackend(
-        TransparentLLM(seed=11), workers=2, shared_memory=False
-    ) as backend:
-        traces = backend.generate(requests)
-        stats = backend.stats
-    assert stats.n_shm_results == 0 and stats.n_shm_bytes == 0
-    for want, got in zip(reference, traces):
-        assert_traces_equal(got, want)
-
-
-def test_worker_side_arena_opt_out_falls_back_inline(
-    reference_traces, monkeypatch
-):
-    monkeypatch.setenv(SHM_ARENA_ENV, "0")  # workers offer no arena at all
-    requests, reference = reference_traces
-    with ProcessBackend(TransparentLLM(seed=11), workers=1) as backend:
-        traces = backend.generate(requests)
-        stats = backend.stats
-    assert stats.n_shm_results == 0 and stats.n_shm_bytes == 0
-    for want, got in zip(reference, traces):
-        assert_traces_equal(got, want)
-
-
-def test_tiny_arena_falls_back_per_result(reference_traces, monkeypatch):
-    """Payloads that don't fit the arena ship inline, bit-identically."""
-    monkeypatch.setenv(SHM_ARENA_ENV, "4096")  # below every trace payload
-    requests, reference = reference_traces
-    with ProcessBackend(TransparentLLM(seed=11), workers=1) as backend:
-        traces = backend.generate(requests)
-        stats = backend.stats
-    assert stats.n_shm_results == 0, f"oversized payload used the arena: {stats}"
-    for want, got in zip(reference, traces):
-        assert_traces_equal(got, want)
-
-
-def test_shm_kill_one_worker_mid_batch_loses_nothing(
-    reference_traces, monkeypatch
-):
-    """Crash recovery under the shm data plane: the in-flight work of a
-    SIGKILLed worker requeues and every result stays byte-identical."""
-    monkeypatch.setenv(CHAOS_DELAY_ENV, "40")
-    requests, reference = reference_traces
-    with ProcessBackend(TransparentLLM(seed=11), workers=2) as backend:
-        victim = backend.ping()[0]
-        threading.Timer(0.2, os.kill, (victim, signal.SIGKILL)).start()
-        traces = backend.generate(requests)
-        stats = backend.stats
-    assert len(traces) == len(reference)
-    for want, got in zip(reference, traces):
-        assert_traces_equal(got, want)
-        assert got.hidden_matrix().tobytes() == want.hidden_matrix().tobytes()
-    assert stats.n_restarts >= 1 and stats.n_requeued >= 1
-    assert stats.n_duplicate_results == 0
