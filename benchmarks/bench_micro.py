@@ -186,14 +186,11 @@ def test_bench_generation_cache_cold_vs_warm(benchmark, ctx):
 # -- generation service backends ----------------------------------------------
 #
 # Same uncached workload (free + teacher-forced traces over the dev
-# split) through every generation backend. Compare the "service" group's
-# rows: at tiny scale the async scheduler's per-batch overhead (queue
-# hops, wait windows, thread handoff) and the process backend's IPC
-# overhead (pickle framing over pipes) dominate, so these track that
-# overhead staying bounded; the coalescing / crash-isolation wins show
-# up with real workloads (GIL-bound kernels, many concurrent
-# submitters). Output bytes must never differ between the rows (pinned
-# by tests).
+# split) through both generation backends. Compare the "service" group's
+# rows: at tiny scale the process backend's IPC overhead (pickle framing
+# over pipes) dominates, so these track that overhead staying bounded;
+# the crash-isolation win shows up with real workloads. Output bytes
+# must never differ between the rows (pinned by tests).
 
 
 @pytest.fixture(scope="module")
@@ -215,19 +212,6 @@ def test_bench_service_simulator_backend(benchmark, service_requests):
 
     backend = SimulatorBackend(TransparentLLM(seed=11))
     benchmark(lambda: backend.generate(service_requests))
-
-
-@pytest.mark.benchmark(group="service")
-def test_bench_service_async_batched_backend(benchmark, service_requests):
-    from repro.runtime.service import AsyncBatchedBackend, SimulatorBackend
-
-    with AsyncBatchedBackend(
-        SimulatorBackend(TransparentLLM(seed=11)),
-        max_batch=4,
-        max_wait_ms=1.0,
-        workers=4,
-    ) as backend:
-        benchmark(lambda: backend.generate(service_requests))
 
 
 @pytest.mark.benchmark(group="service")

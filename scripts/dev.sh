@@ -10,7 +10,7 @@
 #                                # IPC protocol, exception hygiene)
 #   scripts/dev.sh bench-smoke   # micro-benchmarks once each + JSON artifact
 #   scripts/dev.sh sweep-smoke   # sharded sweep + warm-cache + merge identity
-#   scripts/dev.sh service-smoke # simulator/async/process byte identity,
+#   scripts/dev.sh service-smoke # simulator/process byte identity,
 #                                # kill-one-worker crash recovery, compacted
 #                                # SQLite-indexed warm run with zero misses,
 #                                # legacy base64 store read + migrate in place
@@ -178,14 +178,11 @@ service_smoke() {
   # One unit under each generation backend, independent cold caches.
   run "${axes[@]}" --backend simulator --artifact "$out/sim.jsonl" \
     --cache-dir "$out/gen-sim" > "$out/sim.json"
-  run "${axes[@]}" --backend async --max-batch 4 --max-wait-ms 2 \
-    --artifact "$out/async.jsonl" --cache-dir "$out/gen-async" > "$out/async.json"
   run "${axes[@]}" --backend process --worker-log-dir "$out/worker-logs" \
     --artifact "$out/process.jsonl" --cache-dir "$out/gen-process" \
     > "$out/process.json"
 
   # The backend axis must not change a single summary byte.
-  cmp "$out/sim.jsonl.summary.json" "$out/async.jsonl.summary.json"
   cmp "$out/sim.jsonl.summary.json" "$out/process.jsonl.summary.json"
 
   # Crash recovery: SIGKILL one worker mid-batch; the run must still
@@ -228,13 +225,13 @@ assert stats.n_duplicate_results == 0, f"a generation resolved twice: {stats}"
 print(f"kill-one-worker recovery OK: {stats}")
 PY
 
-  # Compact the async store (builds the SQLite index tier), then a warm
-  # re-run against it: byte-identical summary, zero new generations.
-  cache stats --cache-dir "$out/gen-async" > "$out/cache-stats-before.json"
-  cache compact --cache-dir "$out/gen-async" > "$out/cache-compact.json"
-  cache stats --cache-dir "$out/gen-async" > "$out/cache-stats-after.json"
-  run "${axes[@]}" --backend async --artifact "$out/warm.jsonl" \
-    --cache-dir "$out/gen-async" > "$out/warm.json"
+  # Compact the simulator store (builds the SQLite index tier), then a
+  # warm re-run against it: byte-identical summary, zero new generations.
+  cache stats --cache-dir "$out/gen-sim" > "$out/cache-stats-before.json"
+  cache compact --cache-dir "$out/gen-sim" > "$out/cache-compact.json"
+  cache stats --cache-dir "$out/gen-sim" > "$out/cache-stats-after.json"
+  run "${axes[@]}" --backend simulator --artifact "$out/warm.jsonl" \
+    --cache-dir "$out/gen-sim" > "$out/warm.json"
   cmp "$out/sim.jsonl.summary.json" "$out/warm.jsonl.summary.json"
 
   python - "$out" <<'PY'
@@ -294,7 +291,7 @@ for path in ("legacy-warm.json", "migrated-warm.json"):
 print(f"legacy-store migration OK: {transcoded} records transcoded, "
       f"store now {codecs}")
 PY
-  echo "service-smoke passed: backends byte-identical (incl. process)," \
+  echo "service-smoke passed: simulator and process byte-identical," \
        "kill-one-worker recovery clean, compacted+indexed warm run fully hit," \
        "legacy base64 store read+migrated in place with summaries unchanged"
 }

@@ -126,7 +126,6 @@ class LintConfig:
     lifecycle_classes: "tuple[str, ...]" = (
         "GenerationService",
         "ProcessBackend",
-        "AsyncBatchedBackend",
         "ExperimentContext",
         "SweepRunner",
     )

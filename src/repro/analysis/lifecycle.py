@@ -1,8 +1,7 @@
 """Checker: resource-owning objects are context-managed or handed off.
 
-``GenerationService``, ``ProcessBackend``, ``AsyncBatchedBackend``,
-``ExperimentContext`` and ``SweepRunner`` own worker processes, file
-handles and threads; dropping one on the floor leaks them. A
+``GenerationService``, ``ProcessBackend``, ``ExperimentContext`` and
+``SweepRunner`` own worker processes, file handles and threads; dropping one on the floor leaks them. A
 construction (``Cls(...)`` or a classmethod factory like
 ``ExperimentContext.default()`` / ``GenerationService.build()``) is
 accepted when it visibly escapes into someone else's ownership:

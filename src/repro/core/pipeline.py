@@ -59,9 +59,8 @@ class RTSPipeline:
         order-preserving ``map_ordered``) always wins: per-instance
         calls fan over it, and a caching LLM still serves each from its
         service. Otherwise a service-backed LLM gets the whole batch in
-        one call (which the async backend coalesces into microbatches).
-        Training itself is serial; both paths yield bit-identical
-        traces in input order.
+        one call. Training itself is serial; both paths yield
+        bit-identical traces in input order.
         """
         cfg = self.config
         if cfg.train_fraction < 1.0:

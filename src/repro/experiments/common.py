@@ -9,10 +9,10 @@ on this). All bulk evaluation routes through the
 and the LLM is a :class:`~repro.runtime.cache.CachingLLM` adapter over
 a :class:`~repro.runtime.service.GenerationService`, so repeated
 generations across tables/figures are computed once and the execution
-backend is swappable (``gen_backend="simulator"`` for direct in-process
-calls, ``"async"`` for microbatch-coalescing asyncio scheduling,
-``"process"`` for crash-isolated worker subprocesses — all
-byte-identical by construction).
+backend is swappable through one
+:class:`~repro.runtime.service.BackendSpec` (``kind="simulator"`` for
+direct in-process calls, ``"process"`` for crash-isolated worker
+subprocesses — byte-identical by construction).
 
 With ``cache_dir`` (or the ``REPRO_CACHE_DIR`` environment variable via
 :meth:`ExperimentContext.default`), the service's cache tiers include a
@@ -118,10 +118,6 @@ class ExperimentContext:
         backend: str = THREAD,
         cache: "GenerationCache | None" = None,
         cache_dir: "str | Path | None" = None,
-        gen_backend: "str | None" = None,
-        max_batch: "int | None" = None,
-        max_wait_ms: "float | None" = None,
-        worker_log_dir: "str | Path | None" = None,
         service: "GenerationService | None" = None,
         spec: "BackendSpec | None" = None,
     ):
@@ -131,28 +127,8 @@ class ExperimentContext:
         self.scale = scale or CorpusScale.small()
         self.workers = workers
         self.backend = backend
-        # One BackendSpec describes the generation backend; the loose
-        # keyword arguments are the pre-spec surface, folded in here.
         if spec is None:
-            overrides = {
-                "kind": gen_backend,
-                "workers": max(1, workers),
-                "max_batch": max_batch,
-                "max_wait_ms": max_wait_ms,
-                "worker_log_dir": (
-                    str(worker_log_dir) if worker_log_dir is not None else None
-                ),
-            }
-            spec = BackendSpec(
-                **{key: value for key, value in overrides.items() if value is not None}
-            )
-        elif any(
-            value is not None
-            for value in (gen_backend, max_batch, max_wait_ms, worker_log_dir)
-        ):
-            raise ValueError(
-                "pass backend configuration on the spec, not alongside it"
-            )
+            spec = BackendSpec(workers=max(1, workers))
         self.spec = spec
         self._cache = cache
         self._service = service
@@ -203,11 +179,6 @@ class ExperimentContext:
                 )
                 self._llm = CachingLLM(base, service=self._service)
         return self._llm
-
-    @property
-    def gen_backend(self) -> str:
-        """Back-compat alias for ``spec.kind`` (pre-spec surface)."""
-        return self.spec.kind
 
     @property
     def service(self) -> GenerationService:

@@ -14,9 +14,8 @@ This package provides the shared substrate for doing that at scale:
 * :mod:`repro.runtime.runner` — the `BatchRunner` that ties them
   together;
 * :mod:`repro.runtime.service` — the backend-agnostic
-  `GenerationService`: a `GenerationBackend` protocol with
-  `SimulatorBackend` (direct simulator calls) and `AsyncBatchedBackend`
-  (asyncio microbatch coalescing with backpressure) implementations,
+  `GenerationService`: a `GenerationBackend` protocol with the
+  in-process `SimulatorBackend` implementation (direct simulator calls),
   composed with the tiered cache (L1 memory → L2 segments → L3 SQLite
   index) that every consumer layer now routes generations through;
 * :mod:`repro.runtime.persist` — the cross-process
@@ -41,14 +40,13 @@ This package provides the shared substrate for doing that at scale:
 
 The stable public API of this package is its ``__all__``: the service
 layer (`GenerationService`, `BackendSpec`, the backends), the stores,
-the runner/sweep orchestration and the record helpers. Old keyword
-spellings (``GenerationService.build(backend=...)``) keep working for
-one release behind deprecation shims.
+the runner/sweep orchestration and the record helpers. Backend
+configuration travels only as a ``BackendSpec``.
 
 Every path is deterministic: a batch run with ``workers=4`` produces
 byte-identical aggregate metrics to the serial fallback, a sweep split
 into N shards merges byte-identically to the unsharded run, and the
-``simulator`` and ``async`` generation backends produce byte-identical
+``simulator`` and ``process`` generation backends produce byte-identical
 summaries, because all randomness in the library is derived from named
 streams, never from execution order, batching or process boundaries.
 """
@@ -70,14 +68,12 @@ from repro.runtime.pool import BACKENDS, PROCESS, SERIAL, THREAD, WorkerPool
 from repro.runtime.remote import ProcessBackend, SupervisorStats, WorkerCrashError
 from repro.runtime.runner import BatchResult, BatchRunner
 from repro.runtime.service import (
-    ASYNC,
     GEN_BACKENDS,
     PIPE_TRANSPORT,
     SIMULATOR,
     TCP_TRANSPORT,
     TRANSPORTS,
     UNIX_TRANSPORT,
-    AsyncBatchedBackend,
     BackendSpec,
     GenerationBackend,
     GenerationRequest,
@@ -94,7 +90,6 @@ from repro.runtime.sweep import (
 )
 
 __all__ = [
-    "ASYNC",
     "BACKENDS",
     "BackendSpec",
     "BatchResult",
@@ -106,7 +101,6 @@ __all__ = [
     "GenerationCache",
     "GenerationRequest",
     "GenerationService",
-    "AsyncBatchedBackend",
     "PIPE_TRANSPORT",
     "PROCESS",
     "PersistentGenerationCache",

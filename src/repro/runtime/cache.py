@@ -287,7 +287,7 @@ class CachingLLM:
 
         return self.service.generate_one(GenerationRequest(FORCED, instance))
 
-    # -- batched generation (coalesced by the async backend) -----------------
+    # -- batched generation (one service call per batch) ---------------------
 
     def generate_many(
         self, instances: "Iterable[SchemaLinkingInstance]"

@@ -4,14 +4,13 @@ Examples
 --------
 Link-level sweep with four threads, streaming a resumable artifact; the
 ``--backend`` axis picks the generation backend (``simulator`` for
-direct in-process calls, ``async`` for microbatch-coalescing asyncio
-scheduling, ``process`` for crash-isolated worker subprocesses —
-byte-identical summaries whichever is chosen), and ``--cache-dir``
-(defaulting to ``$REPRO_CACHE_DIR``) shares the persistent generation
-store with sweeps and the table/figure drivers::
+direct in-process calls, ``process`` for crash-isolated worker
+subprocesses — byte-identical summaries whichever is chosen), and
+``--cache-dir`` (defaulting to ``$REPRO_CACHE_DIR``) shares the
+persistent generation store with sweeps and the table/figure drivers::
 
     repro-run --benchmark bird --split dev --task table --mode abstain \
-        --workers 4 --backend async --artifact out/bird-table.jsonl
+        --workers 4 --artifact out/bird-table.jsonl
 
     repro-run --benchmark bird --split dev --task table --mode abstain \
         --workers 4 --backend process --worker-log-dir out/worker-logs
@@ -118,23 +117,21 @@ examples:
   repro-run --benchmark bird --split dev --task table --mode abstain \\
       --workers 4 --artifact out/bird-table.jsonl --cache-dir out/gen
 
-  # the same unit on the async microbatching backend (byte-identical)
-  repro-run --benchmark bird --split dev --task table --mode abstain \\
-      --workers 4 --backend async --max-batch 8 --max-wait-ms 2
-
-  # crash-isolated worker processes over unix-domain sockets; external
-  # `repro-worker --connect <address>` processes may join the fleet
+  # the same unit on crash-isolated worker processes over unix-domain
+  # sockets (byte-identical); external `repro-worker --connect <address>`
+  # processes may join the fleet
   repro-run --benchmark bird --split dev --task table --mode abstain \\
       --workers 4 --backend process --transport unix \\
       --worker-log-dir out/worker-logs
 
-The --backend axis never changes a summary byte: all three backends are
+The --backend axis never changes a summary byte: both backends are
 pure functions of the same requests and share one cache namespace. The
 same spec drives the online tier: `repro-serve` answers HTTP queries
 byte-identically to these offline runs (see repro-serve --help), and
-the shared SLO knobs apply offline too — --request-timeout-s deadlines
-each generation and --fleet-token (or $REPRO_FLEET_TOKEN) gates socket
-workers joining the fleet. Operator docs: README.md, docs/.
+the shared SLO knobs apply offline too — on the process backend,
+--request-timeout-s deadlines each generation and --fleet-token (or
+$REPRO_FLEET_TOKEN) gates socket workers joining the fleet. Operator
+docs: README.md, docs/.
 """
 
 
@@ -307,14 +304,15 @@ examples:
       --backend process --workers 4 --worker-log-dir out/worker-logs
   repro-sweep merge --out out/sweep
 
-Shards may mix --backend values freely (simulator, async, process):
+Shards may mix --backend values freely (simulator, process):
 unit summaries and the merged sweep-summary.json are byte-identical
 regardless, and all backends share one persistent cache namespace.
 With --backend process --transport unix|tcp the workers connect over
 sockets, and external machines can lend capacity to a shard by running
 `repro-worker --connect <address>` against its supervisor — gated by
---fleet-token / $REPRO_FLEET_TOKEN when set. --request-timeout-s
-deadlines each generation instead of waiting forever. Operator docs:
+--fleet-token / $REPRO_FLEET_TOKEN when set. On the process backend,
+--request-timeout-s deadlines each generation instead of waiting
+forever. Operator docs:
 README.md, docs/.
 """
 

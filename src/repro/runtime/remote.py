@@ -1,10 +1,9 @@
 """Remote generation workers over a pluggable transport, with crash recovery.
 
-`SimulatorBackend` and `AsyncBatchedBackend` both execute generations
-inside the calling process: one worker crash (OOM, native-extension
-fault, operator SIGKILL) takes the whole sweep shard down with it, and a
-GIL-bound kernel caps throughput at one core no matter how many threads
-the scheduler runs. This module moves execution out of process — and,
+`SimulatorBackend` executes generations inside the calling process: one
+worker crash (OOM, native-extension fault, operator SIGKILL) takes the
+whole sweep shard down with it, and a GIL-bound kernel caps throughput
+at one core no matter how many threads run it. This module moves execution out of process — and,
 over sockets, onto other machines:
 
 :class:`ProcessBackend` (the supervisor)
@@ -1319,7 +1318,7 @@ class ProcessBackend:
 
         In-flight requests are failed with a :class:`WorkerCrashError`
         rather than left to hang their submitters. The backend restarts
-        cleanly on the next ``generate`` call, like the async backend.
+        cleanly on the next ``generate`` call.
         """
         with self._lock:
             if not self._started and not self._fleet:
@@ -1662,7 +1661,7 @@ class ProcessBackend:
                 self._n_requeued += 1
             self._dispatch(pending)
 
-    # Pickled as configuration only, like the async backend: a clone in
+    # Pickled as configuration only: a clone in
     # another process spawns its own fleet (and, if the log dir was
     # defaulted, its own temp log dir) on first use.
     def __getstate__(self) -> dict:

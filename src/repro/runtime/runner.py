@@ -247,7 +247,7 @@ class BatchRunner:
         A parallel runner pool fans per-instance calls (a caching LLM
         still serves each from its service); otherwise a service-backed
         LLM gets the whole batch in one call, whose backend decides how
-        to execute — serial, or coalesced into microbatches. Both paths
+        to execute — in process, or on worker subprocesses. Both paths
         yield bit-identical traces in input order.
         """
         collect = getattr(self.llm, "teacher_forced_traces", None)

@@ -21,12 +21,13 @@ already exists offline — this module adds the thin, faithful front end:
   :class:`~repro.runtime.remote.SupervisorStats` with per-worker
   scheduling state.
 
-SLO surface: ``--request-timeout-s`` (or a per-request ``timeout_s``
-body field) deadlines each generation — a request past its deadline
-gets HTTP 503 with a structured retryable body (see
-:func:`deadline_body`) while the supervisor disowns the in-flight work
-(never duplicated). ``--auth-token`` requires ``Authorization: Bearer``
-on every ``/v1/*`` route; ``--fleet-token`` protects the worker socket.
+SLO surface: on the process backend, ``--request-timeout-s`` (or a
+per-request ``timeout_s`` body field) deadlines each generation — a
+request past its deadline gets HTTP 503 with a structured retryable
+body (see :func:`deadline_body`) while the supervisor disowns the
+in-flight work (never duplicated). ``--auth-token`` requires
+``Authorization: Bearer`` on every ``/v1/*`` route; ``--fleet-token``
+protects the worker socket.
 The full schemas live in ``docs/http-api.md``; the runbook in
 ``docs/operations.md``.
 

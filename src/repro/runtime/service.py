@@ -25,27 +25,19 @@ the seam between *what* to generate and *how* it is executed and cached:
     the same request always yields a bit-identical trace, regardless of
     batch composition, concurrency or call order. That purity is what
     lets every backend share one cache namespace and what makes the
-    ``--backend simulator`` / ``--backend async`` axis byte-identical in
-    every ``*.summary.json``.
+    ``--backend simulator`` / ``--backend process`` axis byte-identical
+    in every ``*.summary.json``.
 
-Two implementations ship here:
+One implementation ships here: :class:`SimulatorBackend`, which wraps a
+``TransparentLLM`` and optionally fans a batch over a
+:class:`~repro.runtime.pool.WorkerPool`. This is byte-identical to the
+pre-service direct calls.
 
-* :class:`SimulatorBackend` — wraps a ``TransparentLLM``; optionally
-  fans a batch over a :class:`~repro.runtime.pool.WorkerPool`. This is
-  byte-identical to the pre-service direct calls.
-* :class:`AsyncBatchedBackend` — an ``asyncio`` scheduler (own event
-  loop on a daemon thread) that coalesces concurrent requests into
-  microbatches: up to ``max_batch`` requests, waiting at most
-  ``max_wait_ms`` after the first arrival, with backpressure via a
-  bounded submission queue and at most ``workers`` batches in flight.
-  Results resolve per-request futures, so every caller sees its own
-  results in submission order no matter how requests were batched.
-
-A third lives in :mod:`repro.runtime.remote` (imported lazily to keep
+The other lives in :mod:`repro.runtime.remote` (imported lazily to keep
 this module subprocess-free): :class:`~repro.runtime.remote.
 ProcessBackend`, a supervisor fanning batches over worker subprocesses
 via framed pipe IPC, with health checks, restart-on-crash and in-flight
-requeue — ``gen_backend="process"`` on :meth:`GenerationService.build`.
+requeue — ``BackendSpec(kind="process")``.
 
 On top sits :class:`GenerationService`: lookups fall through a tier
 stack — L1 in-memory memo table → L2 on-disk JSONL segment scan →
@@ -60,14 +52,10 @@ accounting that the warm-run ``misses == 0`` invariants pin down.
 from __future__ import annotations
 
 import argparse
-import asyncio
 import contextlib
 import contextvars
 import os
 import threading
-import time
-import warnings
-from concurrent.futures import TimeoutError as _FutureTimeoutError
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Iterable, Protocol, Sequence, runtime_checkable
 
@@ -86,7 +74,6 @@ __all__ = [
     "FREE",
     "FORCED",
     "SIMULATOR",
-    "ASYNC",
     "PROCESS",
     "GEN_BACKENDS",
     "PIPE_TRANSPORT",
@@ -104,8 +91,6 @@ __all__ = [
     "GenerationRequest",
     "GenerationBackend",
     "SimulatorBackend",
-    "AsyncBatchedBackend",
-    "MicrobatchStats",
     "GenerationService",
     "simulator_identity",
 ]
@@ -115,9 +100,8 @@ FORCED = "forced"
 KINDS = (FREE, FORCED)
 
 SIMULATOR = "simulator"
-ASYNC = "async"
 PROCESS = "process"
-GEN_BACKENDS = (SIMULATOR, ASYNC, PROCESS)
+GEN_BACKENDS = (SIMULATOR, PROCESS)
 
 # Where process-backend workers live: spawned over stdio pipes, or
 # connected over a listening socket (unix-domain / TCP) that external
@@ -141,7 +125,7 @@ FLEET_TOKEN_ENV = "REPRO_FLEET_TOKEN"
 class DeadlineExceeded(RuntimeError):
     """A generation batch outlived its per-request deadline.
 
-    Raised by the deadline-aware backends (``async``, ``process``) to the
+    Raised by the deadline-aware ``process`` backend to the
     *caller only*: the in-flight work is disowned — its eventual result
     is discarded without being counted as a duplicate, and a worker
     crash afterwards will not requeue it — so a timed-out request is
@@ -199,7 +183,7 @@ def simulator_identity(llm: "TransparentLLM") -> tuple:
     """The canonical backend identity for one simulated LLM.
 
     Every backend that executes generations *with this llm's bits* —
-    in-process, async-batched, worker subprocesses — must return exactly
+    in-process or in worker subprocesses — must return exactly
     this tuple from ``identity()``, or its persistent-cache namespace
     silently splits from the others and warm stores stop being shared.
     The simulator version participates because a bit-level synthesis
@@ -208,23 +192,9 @@ def simulator_identity(llm: "TransparentLLM") -> tuple:
     return (getattr(llm, "version", SIMULATOR_VERSION), llm.config, llm.seed)
 
 
-def _positive_int(value: str) -> int:
-    parsed = int(value)
-    if parsed < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
-    return parsed
-
-
 def _nonnegative_int(value: str) -> int:
     parsed = int(value)
     if parsed < 0:
-        raise argparse.ArgumentTypeError("must be >= 0")
-    return parsed
-
-
-def _nonnegative_float(value: str) -> float:
-    parsed = float(value)
-    if not parsed >= 0:  # also rejects NaN
         raise argparse.ArgumentTypeError("must be >= 0")
     return parsed
 
@@ -250,10 +220,10 @@ class BackendSpec:
     argv fragment that parses back to an equal spec; pickle ships it to
     shards and workers unchanged).
 
-    Fields beyond ``kind``/``workers`` apply to the backends that read
-    them — microbatching knobs to ``async``, restart/log/transport knobs
-    to ``process`` — and are carried (harmlessly) for the rest, so a
-    spec can be re-targeted by ``replace(spec, kind=...)`` alone.
+    Fields beyond ``kind``/``workers`` (restart budget, logs, transport,
+    deadline, fleet token) apply to the ``process`` backend and are
+    carried (harmlessly) for the simulator, so a spec can be
+    re-targeted by ``replace(spec, kind=...)`` alone.
     ``workers=0`` is the accept-only process supervisor (socket
     transports): serve no local workers, wait for external
     ``repro-worker --connect`` joins.
@@ -261,9 +231,6 @@ class BackendSpec:
 
     kind: str = SIMULATOR
     workers: int = 4
-    max_batch: int = 8
-    max_wait_ms: float = 2.0
-    max_pending: int = 256
     max_restarts: "int | None" = None
     worker_log_dir: "str | None" = None
     transport: str = PIPE_TRANSPORT
@@ -298,12 +265,6 @@ class BackendSpec:
                 "workers must be >= 1 (0 is allowed only for the process "
                 "backend on a socket transport: the accept-only supervisor)"
             )
-        if self.max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
-        if self.max_wait_ms < 0:
-            raise ValueError("max_wait_ms must be >= 0")
-        if self.max_pending < 1:
-            raise ValueError("max_pending must be >= 1")
         if self.max_restarts is not None and self.max_restarts < 0:
             raise ValueError("max_restarts must be >= 0 (or None for the default)")
         if self.request_timeout_s is not None and not self.request_timeout_s > 0:
@@ -329,35 +290,16 @@ class BackendSpec:
             "--backend",
             choices=GEN_BACKENDS,
             default=spec.kind,
-            help="generation backend: direct simulator calls, the "
-            "microbatch-coalescing async scheduler, or crash-isolated "
-            "worker processes (byte-identical results on every axis)",
+            help="generation backend: direct simulator calls or "
+            "crash-isolated worker processes (byte-identical results)",
         )
         group.add_argument(
             "--gen-workers",
             type=_nonnegative_int,
             default=None,
-            help="backend worker count: concurrent async batches, or process "
-            "workers (0 = accept-only socket supervisor; default: follow "
+            help="process backend: worker count (0 = accept-only socket "
+            "supervisor; default: follow "
             f"--workers, else {spec.workers})",
-        )
-        group.add_argument(
-            "--max-batch",
-            type=_positive_int,
-            default=spec.max_batch,
-            help="async backend: max requests coalesced into one microbatch",
-        )
-        group.add_argument(
-            "--max-wait-ms",
-            type=_nonnegative_float,
-            default=spec.max_wait_ms,
-            help="async backend: max milliseconds a microbatch waits to fill",
-        )
-        group.add_argument(
-            "--max-pending",
-            type=_positive_int,
-            default=spec.max_pending,
-            help="async backend: submission-queue bound (backpressure)",
         )
         group.add_argument(
             "--max-restarts",
@@ -389,7 +331,7 @@ class BackendSpec:
             "--request-timeout-s",
             type=_positive_float,
             default=spec.request_timeout_s,
-            help="async/process backends: per-request deadline in seconds; a "
+            help="process backend: per-request deadline in seconds; a "
             "generation past it fails with DeadlineExceeded (HTTP 503 under "
             "repro-serve) instead of waiting forever (default: no deadline)",
         )
@@ -419,9 +361,6 @@ class BackendSpec:
             gen_workers = getattr(args, "workers", None)
         spec = cls(
             kind=getattr(args, "backend", SIMULATOR),
-            max_batch=getattr(args, "max_batch", cls.max_batch),
-            max_wait_ms=getattr(args, "max_wait_ms", cls.max_wait_ms),
-            max_pending=getattr(args, "max_pending", cls.max_pending),
             max_restarts=getattr(args, "max_restarts", None),
             worker_log_dir=getattr(args, "worker_log_dir", None),
             transport=getattr(args, "transport", PIPE_TRANSPORT),
@@ -440,12 +379,6 @@ class BackendSpec:
             self.kind,
             "--gen-workers",
             str(self.workers),
-            "--max-batch",
-            str(self.max_batch),
-            "--max-wait-ms",
-            str(self.max_wait_ms),
-            "--max-pending",
-            str(self.max_pending),
             "--transport",
             self.transport,
         ]
@@ -469,18 +402,6 @@ class BackendSpec:
 
     def make_backend(self, llm: TransparentLLM, pool=None):
         """Just the backend this spec describes (no cache tiers)."""
-        if self.kind == ASYNC:
-            # Parallelism comes from the scheduler's concurrent batches
-            # alone; a pooled inner backend would multiply into
-            # workers² threads (plus one executor per microbatch).
-            return AsyncBatchedBackend(
-                SimulatorBackend(llm),
-                max_batch=self.max_batch,
-                max_wait_ms=self.max_wait_ms,
-                max_pending=self.max_pending,
-                workers=self.workers,
-                request_timeout_s=self.request_timeout_s,
-            )
         if self.kind == PROCESS:
             # Lazy import: remote builds on this module's request types.
             from repro.runtime.remote import ProcessBackend
@@ -579,297 +500,6 @@ class SimulatorBackend:
         self.pool = state["pool"]
 
 
-@dataclass(frozen=True)
-class MicrobatchStats:
-    """Scheduler bookkeeping for one :class:`AsyncBatchedBackend`."""
-
-    n_batches: int
-    n_requests: int
-    max_batch: int
-
-    @property
-    def mean_batch(self) -> float:
-        return self.n_requests / self.n_batches if self.n_batches else 0.0
-
-
-class AsyncBatchedBackend:
-    """Coalesces concurrent generation requests into microbatches.
-
-    An ``asyncio`` event loop on a dedicated daemon thread pulls
-    requests off a bounded queue; the first arrival opens a batch that
-    closes after ``max_batch`` requests or ``max_wait_ms`` milliseconds,
-    whichever comes first. Closed batches execute on worker threads (at
-    most ``workers`` concurrently — acquiring the slot *before* the next
-    batch is collected, so a saturated backend exerts backpressure
-    through the queue all the way to the submitting threads).
-
-    Determinism: traces are pure functions of their requests, and each
-    request resolves its own future, so results are bit-identical to the
-    wrapped backend's no matter how the scheduler sliced the batches.
-    ``identity()`` delegates to the inner backend — batching must never
-    change the cache namespace.
-    """
-
-    def __init__(
-        self,
-        inner,
-        max_batch: int = 8,
-        max_wait_ms: float = 2.0,
-        max_pending: int = 256,
-        workers: int = 4,
-        request_timeout_s: "float | None" = None,
-    ):
-        if max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
-        if max_wait_ms < 0:
-            raise ValueError("max_wait_ms must be >= 0")
-        if max_pending < 1:
-            raise ValueError("max_pending must be >= 1")
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        if request_timeout_s is not None and not request_timeout_s > 0:
-            raise ValueError("request_timeout_s must be > 0 (or None)")
-        self.inner = inner
-        self.max_batch = int(max_batch)
-        self.max_wait_ms = float(max_wait_ms)
-        self.max_pending = int(max_pending)
-        self.workers = int(workers)
-        self.request_timeout_s = (
-            None if request_timeout_s is None else float(request_timeout_s)
-        )
-        self._lock = threading.Lock()
-        self._started = False  # guarded-by: self._lock
-        self._loop: "asyncio.AbstractEventLoop | None" = None
-        self._thread: "threading.Thread | None" = None
-        self._queue: "asyncio.Queue | None" = None
-        self._semaphore: "asyncio.Semaphore | None" = None
-        self._scheduler_task: "asyncio.Task | None" = None
-        self._batch_tasks: "set[asyncio.Task]" = set()
-        self._n_batches = 0
-        self._n_batched_requests = 0
-        self._max_batch_seen = 0
-
-    @property
-    def base_llm(self):
-        return self.inner.base_llm
-
-    def identity(self) -> tuple:
-        return self.inner.identity()
-
-    @property
-    def batch_stats(self) -> MicrobatchStats:
-        return MicrobatchStats(
-            n_batches=self._n_batches,
-            n_requests=self._n_batched_requests,
-            max_batch=self._max_batch_seen,
-        )
-
-    # -- lifecycle -----------------------------------------------------------
-
-    def _ensure_started(self) -> None:
-        # repro-lint: ignore[lock-discipline] double-checked fast path: a stale False retries under the lock, a stale True is impossible (only ever set True)
-        if self._started:
-            return
-        with self._lock:
-            if self._started:
-                return
-            ready = threading.Event()
-
-            def run() -> None:
-                loop = asyncio.new_event_loop()
-                asyncio.set_event_loop(loop)
-                self._loop = loop
-                self._queue = asyncio.Queue(maxsize=self.max_pending)
-                self._semaphore = asyncio.Semaphore(self.workers)
-                self._scheduler_task = loop.create_task(self._schedule())
-                ready.set()
-                try:
-                    loop.run_forever()
-                finally:
-                    pending = asyncio.all_tasks(loop)
-                    for task in pending:
-                        task.cancel()
-                    if pending:
-                        loop.run_until_complete(
-                            asyncio.gather(*pending, return_exceptions=True)
-                        )
-                    loop.close()
-
-            self._thread = threading.Thread(
-                target=run, name="generation-microbatcher", daemon=True
-            )
-            self._thread.start()
-            ready.wait()
-            self._started = True
-
-    def close(self) -> None:
-        """Stop the scheduler thread without stranding any submitter.
-
-        Close is safe whenever: queued-but-unbatched requests get their
-        futures cancelled (the submitter's handle raises
-        ``CancelledError`` instead of blocking forever), in-flight
-        batches are awaited so their futures resolve normally (or with
-        the backend's exception), and anything racing into the queue
-        during shutdown is swept up by the loop-teardown cancellation.
-        """
-        with self._lock:
-            if not self._started:
-                return
-            loop = self._loop
-            try:
-                # Graceful phase on the loop thread: stop batching,
-                # cancel the queued futures, let running batches finish.
-                asyncio.run_coroutine_threadsafe(self._shutdown(), loop).result(
-                    timeout=10
-                )
-            except (TimeoutError, RuntimeError):  # wedged loop: hard-stop below
-                pass
-            try:
-                loop.call_soon_threadsafe(loop.stop)
-            except RuntimeError:  # already closed by a crashed loop thread
-                pass
-            self._thread.join(timeout=10)
-            self._started = False
-            self._loop = None
-            self._thread = None
-            self._queue = None
-            self._semaphore = None
-            self._scheduler_task = None
-            self._batch_tasks = set()
-
-    async def _shutdown(self) -> None:
-        """Graceful teardown, on the loop thread (see :meth:`close`)."""
-        if self._scheduler_task is not None:
-            self._scheduler_task.cancel()
-            await asyncio.gather(self._scheduler_task, return_exceptions=True)
-        # Queued-but-unbatched submissions: no batch will ever run them.
-        while True:
-            try:
-                _request, future = self._queue.get_nowait()
-            except asyncio.QueueEmpty:
-                break
-            if not future.done():
-                future.cancel()
-        # In-flight batches resolve their own futures (result or error);
-        # awaiting them here is what un-hangs close-during-a-batch.
-        if self._batch_tasks:
-            await asyncio.gather(*list(self._batch_tasks), return_exceptions=True)
-
-    def __enter__(self) -> "AsyncBatchedBackend":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    # -- submission ----------------------------------------------------------
-
-    def generate(
-        self, requests: "Sequence[GenerationRequest]"
-    ) -> "list[GenerationTrace]":
-        requests = list(requests)
-        if not requests:
-            return []
-        self._ensure_started()
-        handles = [
-            asyncio.run_coroutine_threadsafe(self._submit(request), self._loop)
-            for request in requests
-        ]
-        timeout = effective_timeout(self.request_timeout_s)
-        if timeout is None:
-            return [handle.result() for handle in handles]
-        deadline = time.monotonic() + timeout
-        results = []
-        for handle in handles:
-            try:
-                results.append(handle.result(max(0.0, deadline - time.monotonic())))
-            except _FutureTimeoutError:
-                # Disown the whole batch: cancelling the submit
-                # coroutines unblocks queued requests immediately;
-                # batches already running resolve futures nobody reads
-                # (``_run_batch`` checks ``future.done()`` first).
-                for pending in handles:
-                    pending.cancel()
-                raise DeadlineExceeded(timeout) from None
-        return results
-
-    async def _submit(self, request: GenerationRequest) -> GenerationTrace:
-        future = asyncio.get_running_loop().create_future()
-        # Bounded queue: a saturated scheduler blocks producers here.
-        await self._queue.put((request, future))
-        return await future
-
-    # -- the scheduler (runs on the loop thread) -----------------------------
-
-    async def _schedule(self) -> None:
-        loop = asyncio.get_running_loop()
-        while True:
-            batch = [await self._queue.get()]
-            deadline = loop.time() + self.max_wait_ms / 1000.0
-            while len(batch) < self.max_batch:
-                remaining = deadline - loop.time()
-                if remaining <= 0:
-                    while len(batch) < self.max_batch:  # drain what's queued
-                        try:
-                            batch.append(self._queue.get_nowait())
-                        except asyncio.QueueEmpty:
-                            break
-                    break
-                try:
-                    batch.append(await asyncio.wait_for(self._queue.get(), remaining))
-                except TimeoutError:
-                    break
-            # Acquire the execution slot before collecting the next
-            # batch: with all workers busy, the queue fills and put()
-            # blocks the submitters — end-to-end backpressure.
-            await self._semaphore.acquire()
-            self._n_batches += 1
-            self._n_batched_requests += len(batch)
-            self._max_batch_seen = max(self._max_batch_seen, len(batch))
-            # The loop holds only weak refs to tasks: keep a strong one
-            # until done, or GC could drop a batch mid-flight and leave
-            # its submitters blocked forever.
-            task = asyncio.create_task(self._run_batch(batch))
-            self._batch_tasks.add(task)
-            task.add_done_callback(self._batch_tasks.discard)
-
-    async def _run_batch(self, batch: list) -> None:
-        try:
-            requests = [request for request, _future in batch]
-            try:
-                traces = await asyncio.to_thread(self.inner.generate, requests)
-                if len(traces) != len(requests):
-                    # A broken backend must fail loudly, not strand the
-                    # unpaired submitters in an undebuggable hang.
-                    raise RuntimeError(
-                        f"backend returned {len(traces)} traces for "
-                        f"{len(requests)} requests"
-                    )
-            except BaseException as exc:  # propagate to every submitter
-                for _request, future in batch:
-                    if not future.done():
-                        future.set_exception(exc)
-                return
-            for (_request, future), trace in zip(batch, traces):
-                if not future.done():
-                    future.set_result(trace)
-        finally:
-            self._semaphore.release()
-
-    # Pickled as configuration only; the child restarts its own loop.
-    def __getstate__(self) -> dict:
-        return {
-            "inner": self.inner,
-            "max_batch": self.max_batch,
-            "max_wait_ms": self.max_wait_ms,
-            "max_pending": self.max_pending,
-            "workers": self.workers,
-            "request_timeout_s": self.request_timeout_s,
-        }
-
-    def __setstate__(self, state: dict) -> None:
-        self.__init__(**state)
-
-
 # -- the service --------------------------------------------------------------
 
 
@@ -891,9 +521,9 @@ class GenerationService:
 
     Lookups fall through L1 (in-memory memo table) → L2 (on-disk segment
     scan) → L3 (compacted SQLite index); only the residue of a batch is
-    sent to ``backend.generate`` — as a single batch, which is what the
-    async backend coalesces. Disk hits are promoted into L1; computed
-    traces are admitted to L1 and spilled to the persistent store.
+    sent to ``backend.generate`` — as a single batch. Disk hits are
+    promoted into L1; computed traces are admitted to L1 and spilled to
+    the persistent store.
 
     ``stats`` preserves the historical aggregate accounting (``hits`` =
     L1, ``disk_hits`` = L2 + L3, ``misses`` = backend computations) by
@@ -917,60 +547,24 @@ class GenerationService:
     def build(
         cls,
         llm: TransparentLLM,
-        gen_backend: "str | None" = None,
+        spec: "BackendSpec | None" = None,
         cache: "GenerationCache | None" = None,
         cache_dir=None,
         pool: "WorkerPool | None" = None,
-        max_batch: "int | None" = None,
-        max_wait_ms: "float | None" = None,
-        max_pending: "int | None" = None,
-        workers: "int | None" = None,
         use_index: bool = True,
-        worker_log_dir=None,
-        spec: "BackendSpec | None" = None,
-        backend: "str | None" = None,
     ) -> "GenerationService":
         """Wire a service for ``llm``: backend choice plus cache tiers.
 
-        The backend configuration is one :class:`BackendSpec` (``spec``).
-        The scattered keyword arguments (``gen_backend``, ``workers``,
-        ``max_batch``, ...) are the pre-spec surface: still accepted,
-        folded into a spec internally, and mutually exclusive with an
-        explicit ``spec``. ``backend=`` is the deprecated spelling of
-        ``gen_backend=`` and warns.
+        The backend configuration is one :class:`BackendSpec` (``spec``,
+        default ``BackendSpec()``: the in-process simulator).
 
         ``cache`` wins over ``cache_dir``; with ``cache_dir`` alone a
         :class:`PersistentGenerationCache` is created in the namespace
-        derived from the backend's ``identity()`` — so the simulator,
-        async and process backends (same identity) share one store.
+        derived from the backend's ``identity()`` — so the simulator and
+        process backends (same identity) share one store.
         """
-        if backend is not None:
-            warnings.warn(
-                "GenerationService.build(backend=...) is deprecated; pass "
-                "spec=BackendSpec(kind=...) (or gen_backend=... for one more "
-                "release)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if gen_backend is not None and gen_backend != backend:
-                raise ValueError("pass gen_backend or backend, not both")
-            gen_backend = backend
-        legacy = {
-            "kind": gen_backend,
-            "workers": workers,
-            "max_batch": max_batch,
-            "max_wait_ms": max_wait_ms,
-            "max_pending": max_pending,
-            "worker_log_dir": worker_log_dir,
-        }
-        overrides = {key: value for key, value in legacy.items() if value is not None}
         if spec is None:
-            spec = BackendSpec(**overrides)
-        elif overrides:
-            raise ValueError(
-                "pass backend configuration on the spec, not alongside it: "
-                f"{sorted(overrides)}"
-            )
+            spec = BackendSpec()
         built = spec.make_backend(llm, pool=pool)
         if cache is None and cache_dir is not None:
             cache = PersistentGenerationCache(
@@ -1000,7 +594,7 @@ class GenerationService:
         return generation_namespace(*self.backend.identity())
 
     def close(self) -> None:
-        """Release backend and cache resources (scheduler thread, file
+        """Release backend and cache resources (worker processes, file
         handles, sqlite connections). Entries stay on disk; a later
         generation through a closed persistent cache simply opens a
         fresh segment."""
@@ -1036,7 +630,9 @@ class GenerationService:
         Duplicate keys within a batch are computed once; concurrent
         batches racing on the same missing key may both compute it (the
         value is deterministic, the second admit is a harmless
-        overwrite) — the same contract as ``GenerationCache``.
+        overwrite) — the same contract as ``GenerationCache``. A backend
+        returning the wrong number of traces raises ``RuntimeError``
+        before anything is admitted, instead of leaving gaps.
         """
         requests = list(requests)
         results: list = [None] * len(requests)
@@ -1055,6 +651,11 @@ class GenerationService:
                 pending.append((key, request))
         if pending:
             traces = self.backend.generate([request for _key, request in pending])
+            if len(traces) != len(pending):
+                raise RuntimeError(
+                    f"backend returned {len(traces)} traces for "
+                    f"{len(pending)} requests"
+                )
             for (key, _request), trace in zip(pending, traces):
                 self.cache.admit(key, trace, miss=True)
                 for i in pending_indexes[key]:

@@ -44,7 +44,7 @@ from repro.corpus.generator import CorpusScale
 from repro.runtime.artifacts import strict_jsonable
 from repro.runtime.cache import CacheStats, GenerationCache
 from repro.runtime.pool import THREAD
-from repro.runtime.service import BackendSpec, SIMULATOR
+from repro.runtime.service import BackendSpec
 
 __all__ = [
     "SCALES",
@@ -190,12 +190,12 @@ class SweepRunner:
     One :class:`~repro.experiments.common.ExperimentContext` is built
     per RTS seed (pipelines must be refit per seed), but all contexts
     share a single :class:`~repro.runtime.service.GenerationService`
-    instance — one backend (``gen_backend`` picks ``simulator``, the
-    microbatching ``async`` scheduler, or ``process`` worker
-    subprocesses) over one cache tier stack: with
-    ``cache_dir`` set, a :class:`PersistentGenerationCache` namespaced
-    by the spec's LLM identity, so separate shard processes reuse each
-    other's generations through the filesystem.
+    instance — one backend (``backend_spec.kind`` picks ``simulator``
+    or ``process`` worker subprocesses; the default is
+    ``BackendSpec(workers=max(1, workers))``) over one cache tier
+    stack: with ``cache_dir`` set, a :class:`PersistentGenerationCache`
+    namespaced by the spec's LLM identity, so separate shard processes
+    reuse each other's generations through the filesystem.
 
     ``progress`` (a callable taking one formatted line) streams per-unit
     completion events — unit id, example counts, tier hit rates — as
@@ -210,10 +210,6 @@ class SweepRunner:
         cache_dir: "str | Path | None" = None,
         workers: int = 1,
         pool: str = THREAD,
-        gen_backend: "str | None" = None,
-        max_batch: "int | None" = None,
-        max_wait_ms: "float | None" = None,
-        worker_log_dir: "str | Path | None" = None,
         progress=None,
         backend_spec: "BackendSpec | None" = None,
     ):
@@ -222,38 +218,13 @@ class SweepRunner:
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         self.workers = workers
         self.pool = pool
-        # One BackendSpec describes the generation backend; the loose
-        # keyword arguments are the pre-spec surface, folded in here.
         if backend_spec is None:
-            overrides = {
-                "kind": gen_backend,
-                "workers": max(1, workers),
-                "max_batch": max_batch,
-                "max_wait_ms": max_wait_ms,
-                "worker_log_dir": (
-                    str(worker_log_dir) if worker_log_dir is not None else None
-                ),
-            }
-            backend_spec = BackendSpec(
-                **{key: value for key, value in overrides.items() if value is not None}
-            )
-        elif any(
-            value is not None
-            for value in (gen_backend, max_batch, max_wait_ms, worker_log_dir)
-        ):
-            raise ValueError(
-                "pass backend configuration on the backend_spec, not alongside it"
-            )
+            backend_spec = BackendSpec(workers=max(1, workers))
         self.backend_spec = backend_spec
         self.progress = progress
         self._contexts: dict = {}
         self._cache: "GenerationCache | None" = None
         self._service = None
-
-    @property
-    def gen_backend(self) -> str:
-        """Back-compat alias for ``backend_spec.kind`` (pre-spec surface)."""
-        return self.backend_spec.kind
 
     # -- shared state --------------------------------------------------------
 
@@ -380,7 +351,7 @@ class SweepRunner:
                 "generation_cache": stats.as_dict(),
                 "cache_namespace": getattr(self._cache, "namespace", None),
                 "persistent": self.cache_dir is not None,
-                "gen_backend": self.gen_backend,
+                "gen_backend": self.backend_spec.kind,
             },
         }
         path = self.shard_manifest_path(shard_index, shard_count)
@@ -415,7 +386,6 @@ def run_sweep(
     cache_dir: "str | Path | None" = None,
     workers: int = 1,
     pool: str = THREAD,
-    gen_backend: str = SIMULATOR,
     shard_count: int = 1,
 ) -> dict:
     """Run every shard of a sweep in this process, then merge."""
@@ -428,7 +398,6 @@ def run_sweep(
             cache_dir=cache_dir,
             workers=workers,
             pool=pool,
-            gen_backend=gen_backend,
         ) as runner:
             runner.run_shard(shard_index, shard_count)
     return merge_sweep(out_dir)

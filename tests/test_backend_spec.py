@@ -12,10 +12,9 @@ Pins down the api_redesign guarantees:
 * ``from_args`` resolves the worker count through the documented
   fallback chain (``--gen-workers`` → explicit override → ``workers``
   attribute → dataclass default);
-* the deprecation shims: ``GenerationService.build(backend=...)`` warns
-  but still works, the legacy keyword surface folds into a spec
-  silently, and mixing an explicit spec with legacy keywords is an
-  error everywhere that accepts both.
+* the spec is the only backend configuration surface: the retired
+  ``async`` kind is rejected, and ``make_backend`` dispatches on
+  ``kind`` alone.
 """
 
 from __future__ import annotations
@@ -26,10 +25,8 @@ import pickle
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.experiments.common import ExperimentContext
 from repro.llm.model import TransparentLLM
 from repro.runtime.service import (
-    ASYNC,
     GEN_BACKENDS,
     PIPE_TRANSPORT,
     PROCESS,
@@ -37,23 +34,10 @@ from repro.runtime.service import (
     TCP_TRANSPORT,
     TRANSPORTS,
     UNIX_TRANSPORT,
-    AsyncBatchedBackend,
     BackendSpec,
     GenerationService,
     SimulatorBackend,
 )
-from repro.runtime.sweep import SweepRunner, SweepSpec
-
-SWEEP = SweepSpec(
-    benchmarks=("bird",),
-    splits=("dev",),
-    tasks=("table",),
-    modes=("abstain",),
-    seeds=(3,),
-    scale="tiny",
-    limit=2,
-)
-
 
 def parse(argv: "list[str]", defaults: "BackendSpec | None" = None) -> argparse.Namespace:
     parser = argparse.ArgumentParser()
@@ -80,9 +64,9 @@ def test_defaults_are_a_valid_simulator_spec():
         {"workers": 0},  # accept-only needs process + socket
         {"kind": PROCESS, "workers": 0},  # pipe transport still spawns
         {"kind": PROCESS, "transport": UNIX_TRANSPORT, "workers": -1},
-        {"max_batch": 0},
-        {"max_wait_ms": -1.0},
-        {"max_pending": 0},
+        {"kind": "async"},  # the retired in-process microbatcher
+        {"address": ""},
+        {"request_timeout_s": float("nan")},
         {"max_restarts": -1},
         {"request_timeout_s": 0.0},
         {"request_timeout_s": -1.5},
@@ -134,9 +118,6 @@ def specs(draw) -> BackendSpec:
     return BackendSpec(
         kind=kind,
         workers=draw(st.integers(0 if accept_only else 1, 8)),
-        max_batch=draw(st.integers(1, 32)),
-        max_wait_ms=float(draw(st.integers(0, 50))),
-        max_pending=draw(st.integers(1, 512)),
         max_restarts=draw(st.one_of(st.none(), st.integers(0, 9))),
         worker_log_dir=draw(st.one_of(st.none(), st.just("out/worker-logs"))),
         transport=transport,
@@ -175,10 +156,10 @@ def test_from_args_worker_fallback_chain():
 
 
 def test_add_arguments_defaults_customize_without_forking_flags():
-    args = parse([], defaults=BackendSpec(kind=ASYNC, max_batch=16))
+    args = parse([], defaults=BackendSpec(kind=PROCESS, max_restarts=3))
     spec = BackendSpec.from_args(args)
-    assert spec.kind == ASYNC
-    assert spec.max_batch == 16
+    assert spec.kind == PROCESS
+    assert spec.max_restarts == 3
     # Worker counts resolve through from_args' fallback chain instead
     # (CLIs pass their own --workers), so defaults=... leaves them alone.
     assert spec.workers == BackendSpec.workers
@@ -190,9 +171,6 @@ def test_add_arguments_defaults_customize_without_forking_flags():
 def test_make_backend_dispatches_on_kind():
     llm = TransparentLLM(seed=11)
     assert isinstance(BackendSpec().make_backend(llm), SimulatorBackend)
-    backend = BackendSpec(kind=ASYNC, max_batch=4, workers=2).make_backend(llm)
-    assert isinstance(backend, AsyncBatchedBackend)
-    assert backend.max_batch == 4 and backend.workers == 2
     from repro.runtime.remote import ProcessBackend
 
     process = BackendSpec(
@@ -227,13 +205,13 @@ def test_fleet_token_env_resolves_at_make_backend_not_from_args(monkeypatch):
     assert explicit.fleet_token == "cli-token"
 
 
-def test_request_timeout_flows_into_both_backends():
-    llm = TransparentLLM(seed=11)
-    async_backend = BackendSpec(kind=ASYNC, request_timeout_s=2.5).make_backend(llm)
-    assert async_backend.request_timeout_s == 2.5
+def test_request_timeout_flows_into_the_process_backend():
     from repro.runtime.remote import ProcessBackend
 
-    process = BackendSpec(kind=PROCESS, request_timeout_s=0.25).make_backend(llm)
+    spec = BackendSpec.from_args(
+        parse(["--backend", PROCESS, "--request-timeout-s", "0.25"])
+    )
+    process = spec.make_backend(TransparentLLM(seed=11))
     try:
         assert isinstance(process, ProcessBackend)
         assert process.request_timeout_s == 0.25
@@ -245,51 +223,3 @@ def test_spec_build_wires_a_service():
     with BackendSpec().build(TransparentLLM(seed=11)) as service:
         assert isinstance(service, GenerationService)
         assert isinstance(service.backend, SimulatorBackend)
-
-
-# -- deprecation shims --------------------------------------------------------
-
-
-def test_build_backend_kwarg_warns_but_works():
-    with pytest.warns(DeprecationWarning, match="backend=.*deprecated"):
-        service = GenerationService.build(TransparentLLM(seed=11), backend=ASYNC)
-    with service:
-        assert isinstance(service.backend, AsyncBatchedBackend)
-
-
-def test_build_legacy_kwargs_fold_into_a_spec_silently(recwarn):
-    service = GenerationService.build(
-        TransparentLLM(seed=11), gen_backend=ASYNC, max_batch=4, workers=2
-    )
-    with service:
-        assert isinstance(service.backend, AsyncBatchedBackend)
-        assert service.backend.max_batch == 4
-    assert not [w for w in recwarn if issubclass(w.category, DeprecationWarning)]
-
-
-def test_build_rejects_spec_plus_legacy_kwargs():
-    with pytest.raises(ValueError, match="not alongside"):
-        GenerationService.build(
-            TransparentLLM(seed=11), spec=BackendSpec(), gen_backend=ASYNC
-        )
-
-
-def test_experiment_context_rejects_spec_plus_legacy_kwargs():
-    with pytest.raises(ValueError, match="not alongside"):
-        ExperimentContext.tiny(spec=BackendSpec(), gen_backend=ASYNC)
-
-
-def test_experiment_context_folds_legacy_kwargs_and_aliases_gen_backend():
-    with ExperimentContext.tiny(gen_backend=ASYNC, max_batch=4) as ctx:
-        assert ctx.spec.kind == ASYNC
-        assert ctx.spec.max_batch == 4
-        assert ctx.gen_backend == ASYNC  # the pre-spec read surface
-
-
-def test_sweep_runner_accepts_a_spec_and_aliases_gen_backend(tmp_path):
-    runner = SweepRunner(
-        SWEEP, tmp_path, backend_spec=BackendSpec(kind=ASYNC, max_batch=4)
-    )
-    assert runner.gen_backend == ASYNC
-    with pytest.raises(ValueError, match="not alongside"):
-        SweepRunner(SWEEP, tmp_path, backend_spec=BackendSpec(), gen_backend=ASYNC)

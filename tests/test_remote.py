@@ -49,6 +49,8 @@ from repro.runtime.remote import (
 from repro.runtime.service import (
     FORCED,
     FREE,
+    PROCESS,
+    BackendSpec,
     GenerationRequest,
     GenerationService,
     SimulatorBackend,
@@ -204,7 +206,7 @@ def test_process_backend_shares_the_persistent_namespace(tmp_path, table_instanc
     writer.close()
 
     reader = GenerationService.build(
-        TransparentLLM(seed=11), gen_backend="process", cache_dir=tmp_path, workers=1
+        TransparentLLM(seed=11), spec=BackendSpec(kind=PROCESS, workers=1), cache_dir=tmp_path
     )
     with reader:
         warm = reader.free_traces(instances)
@@ -303,7 +305,7 @@ def test_close_terminates_the_fleet_and_backend_restarts_cleanly(table_instances
     backend.close()
     for pid in pids:
         assert wait_for_exit(pid), f"worker {pid} outlived close()"
-    # Reusable after close, like the async backend.
+    # Reusable after close.
     second = backend.generate([request])[0]
     backend.close()
     assert_traces_equal(first, second)

@@ -398,3 +398,42 @@ def test_cli_runs_and_writes_artifact(tmp_path, capsys):
     assert payload["summary"]["n"] == 4
     assert payload["generation_cache"]["misses"] > 0
     assert artifact.exists()
+
+
+def test_cli_artifacts_byte_identical_across_blas_thread_counts(tmp_path):
+    """Artifacts never depend on how many threads BLAS runs.
+
+    OpenBLAS reads ``OPENBLAS_NUM_THREADS`` once, at import, so each
+    thread count needs its own interpreter.
+    """
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro.runtime.cli
+
+    env = dict(os.environ)
+    env.pop("REPRO_CACHE_DIR", None)
+    env["PYTHONPATH"] = str(Path(repro.runtime.cli.__file__).parents[2])
+    outputs = {}
+    for threads in ("1", "2"):
+        artifact = tmp_path / f"blas-{threads}.jsonl"
+        subprocess.run(
+            [
+                sys.executable, "-m", "repro.runtime.cli",
+                "--benchmark", "bird",
+                "--split", "dev",
+                "--task", "column",
+                "--mode", "abstain",
+                "--scale", "tiny",
+                "--artifact", str(artifact),
+            ],
+            env={**env, "OPENBLAS_NUM_THREADS": threads},
+            capture_output=True,
+            check=True,
+        )
+        summary = artifact.with_name(artifact.name + ".summary.json")
+        outputs[threads] = (artifact.read_bytes(), summary.read_bytes())
+    assert outputs["1"][0] == outputs["2"][0]  # per-example records
+    assert outputs["1"][1] == outputs["2"][1]  # summary

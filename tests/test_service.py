@@ -2,11 +2,10 @@
 
 Pins down the tentpole guarantees:
 
-* the async-batched backend produces traces bit-identical to the
-  simulator backend (any ``max_batch`` / ``workers``), and the whole
-  evaluation stack stays byte-identical across ``--backend``;
-* the microbatch scheduler actually coalesces concurrent requests, in
-  order, with errors propagated to every submitter;
+* the simulator backend matches direct LLM calls (serial or pooled),
+  and the whole evaluation stack stays byte-identical across
+  ``--backend``; a backend returning the wrong number of traces fails
+  loudly instead of leaving gaps;
 * tier fall-through and promotion: memory → segment scan → SQLite
   index → backend, with per-tier stats and L1 promotion on disk hits;
 * SQLite-index lookups agree with segment scans after ``compact()``,
@@ -24,7 +23,9 @@ Pins down the tentpole guarantees:
 from __future__ import annotations
 
 import json
+import os
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -44,10 +45,11 @@ from repro.runtime.persist import (
 )
 from repro.runtime.pool import WorkerPool
 from repro.runtime.service import (
-    ASYNC,
     FORCED,
     FREE,
-    AsyncBatchedBackend,
+    PROCESS,
+    SIMULATOR,
+    BackendSpec,
     GenerationRequest,
     GenerationService,
     SimulatorBackend,
@@ -143,223 +145,6 @@ def test_simulator_backend_pooled_matches_serial(table_instances):
         assert_traces_equal(a, b)
 
 
-@pytest.mark.parametrize("max_batch,workers", [(1, 1), (3, 2), (16, 4)])
-def test_async_backend_bit_identical_to_simulator(table_instances, max_batch, workers):
-    requests = mixed_requests(table_instances)
-    reference = SimulatorBackend(TransparentLLM(seed=11)).generate(requests)
-    with AsyncBatchedBackend(
-        SimulatorBackend(TransparentLLM(seed=11)),
-        max_batch=max_batch,
-        max_wait_ms=5.0,
-        workers=workers,
-    ) as backend:
-        batched = backend.generate(requests)
-    assert len(batched) == len(reference)
-    for a, b in zip(reference, batched):
-        assert_traces_equal(a, b)
-
-
-def test_async_backend_identity_delegates_to_inner():
-    inner = SimulatorBackend(TransparentLLM(seed=11))
-    backend = AsyncBatchedBackend(inner)
-    assert backend.identity() == inner.identity()
-    # Same identity -> same persistent namespace: both backends share
-    # one store, which is what makes the --backend axis cache-neutral.
-    assert generation_namespace(*backend.identity()) == generation_namespace(
-        SIMULATOR_VERSION, inner.llm.config, inner.llm.seed
-    )
-
-
-# -- microbatch coalescing ----------------------------------------------------
-
-
-def test_async_backend_coalesces_into_microbatches(table_instances):
-    counting = CountingBackend(SimulatorBackend(TransparentLLM(seed=11)))
-    requests = mixed_requests(table_instances)  # 2 * len(dev) requests
-    with AsyncBatchedBackend(
-        counting, max_batch=4, max_wait_ms=200.0, workers=1
-    ) as backend:
-        backend.generate(requests)
-        stats = backend.batch_stats
-    assert sum(counting.batches) == len(requests)
-    assert max(counting.batches) <= 4
-    # A generous max_wait and a single worker guarantee the scheduler
-    # sees a backlog: far fewer batches than requests, some of them full.
-    assert len(counting.batches) < len(requests)
-    assert max(counting.batches) > 1
-    assert stats.n_requests == len(requests)
-    assert stats.n_batches == len(counting.batches)
-    assert stats.max_batch == max(counting.batches)
-
-
-def test_async_backend_concurrent_submitters_get_their_own_results(table_instances):
-    with AsyncBatchedBackend(
-        SimulatorBackend(TransparentLLM(seed=11)), max_batch=4, max_wait_ms=50.0
-    ) as backend:
-        reference = {
-            i.instance_id: SimulatorBackend(TransparentLLM(seed=11)).generate(
-                [GenerationRequest(FREE, i)]
-            )[0]
-            for i in table_instances
-        }
-        results: dict[int, list] = {}
-        errors: list[Exception] = []
-
-        def submit(thread_index: int, instances):
-            try:
-                results[thread_index] = backend.generate(
-                    [GenerationRequest(FREE, i) for i in instances]
-                )
-            except Exception as exc:  # pragma: no cover - failure path
-                errors.append(exc)
-
-        threads = [
-            threading.Thread(target=submit, args=(t, table_instances))
-            for t in range(4)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-    assert not errors
-    for traces in results.values():
-        assert [t.instance_id for t in traces] == [
-            i.instance_id for i in table_instances
-        ]
-        for trace, instance in zip(traces, table_instances):
-            assert_traces_equal(trace, reference[instance.instance_id])
-
-
-def test_async_backend_bounded_queue_backpressure(table_instances):
-    """A tiny queue + slow worker still completes every request."""
-    with AsyncBatchedBackend(
-        SimulatorBackend(TransparentLLM(seed=11)),
-        max_batch=2,
-        max_wait_ms=1.0,
-        max_pending=2,
-        workers=1,
-    ) as backend:
-        traces = backend.generate(mixed_requests(table_instances))
-    assert len(traces) == 2 * len(table_instances)
-
-
-def test_async_backend_propagates_backend_errors(table_instances):
-    with AsyncBatchedBackend(ExplodingBackend(), max_wait_ms=1.0) as backend:
-        with pytest.raises(RuntimeError, match="backend exploded"):
-            backend.generate([GenerationRequest(FREE, table_instances[0])])
-    # The backend restarts cleanly after close().
-    with AsyncBatchedBackend(
-        SimulatorBackend(TransparentLLM(seed=11)), max_wait_ms=1.0
-    ) as backend:
-        assert backend.generate([GenerationRequest(FREE, table_instances[0])])
-
-
-class SlowBackend:
-    """A backend that takes its time — for close-while-in-flight tests."""
-
-    def __init__(self, inner, delay_s: float = 0.2):
-        self.inner = inner
-        self.delay_s = delay_s
-
-    @property
-    def base_llm(self):
-        return self.inner.base_llm
-
-    def identity(self):
-        return self.inner.identity()
-
-    def generate(self, requests):
-        import time
-
-        time.sleep(self.delay_s)
-        return self.inner.generate(requests)
-
-
-def test_async_backend_close_after_backend_exception_does_not_hang(table_instances):
-    """The lifecycle bug: close() with poisoned state must neither hang
-    the closer nor any submitter that raced in."""
-    backend = AsyncBatchedBackend(ExplodingBackend(), max_wait_ms=1.0)
-    with pytest.raises(RuntimeError, match="backend exploded"):
-        backend.generate([GenerationRequest(FREE, table_instances[0])])
-    closer = threading.Thread(target=backend.close)
-    closer.start()
-    closer.join(timeout=15)
-    assert not closer.is_alive(), "close() hung after a backend exception"
-
-
-def test_async_backend_close_while_batch_in_flight_resolves_submitters(
-    table_instances,
-):
-    """Submitters pending at close() time get a result or a cancellation
-    — never a deadlock."""
-    import asyncio
-    import concurrent.futures
-    import time
-
-    backend = AsyncBatchedBackend(
-        SlowBackend(SimulatorBackend(TransparentLLM(seed=11)), delay_s=0.3),
-        max_batch=2,
-        max_wait_ms=1.0,
-        max_pending=2,
-        workers=1,
-    )
-    outcomes: list = []
-
-    def submit(instance):
-        try:
-            outcomes.append(backend.generate([GenerationRequest(FREE, instance)]))
-        except (concurrent.futures.CancelledError, asyncio.CancelledError) as exc:
-            outcomes.append(exc)
-
-    threads = [
-        threading.Thread(target=submit, args=(instance,))
-        for instance in table_instances[:6]
-    ]
-    for thread in threads:
-        thread.start()
-    time.sleep(0.1)  # let a batch get in flight, leave others queued
-    backend.close()
-    for thread in threads:
-        thread.join(timeout=15)
-    assert not any(thread.is_alive() for thread in threads), (
-        "close() stranded pending submitters"
-    )
-    assert len(outcomes) == 6  # every submitter resolved, one way or the other
-
-
-def test_async_backend_rejects_bad_config():
-    inner = SimulatorBackend(TransparentLLM(seed=11))
-    for kwargs in (
-        {"max_batch": 0},
-        {"max_wait_ms": -1.0},
-        {"max_pending": 0},
-        {"workers": 0},
-        {"request_timeout_s": 0.0},
-    ):
-        with pytest.raises(ValueError):
-            AsyncBatchedBackend(inner, **kwargs)
-
-
-def test_async_backend_deadline_expires_then_recovers(table_instances):
-    """A generation slower than request_timeout_s raises DeadlineExceeded
-    with the timeout attached; a deadline_scope(None) retry on the same
-    backend still answers (the worker pool is not poisoned)."""
-    from repro.runtime.service import DeadlineExceeded, deadline_scope
-
-    with AsyncBatchedBackend(
-        SlowBackend(SimulatorBackend(TransparentLLM(seed=11)), delay_s=0.5),
-        max_wait_ms=1.0,
-        workers=1,
-        request_timeout_s=0.05,
-    ) as backend:
-        with pytest.raises(DeadlineExceeded) as info:
-            backend.generate([GenerationRequest(FREE, table_instances[0])])
-        assert info.value.timeout_s == 0.05
-        with deadline_scope(None):  # suspend the deadline for this call
-            results = backend.generate([GenerationRequest(FREE, table_instances[1])])
-        assert len(results) == 1
-
-
 def test_deadline_scope_overrides_and_restores():
     from repro.runtime.service import deadline_scope, effective_timeout
 
@@ -390,6 +175,24 @@ def test_service_memoizes_and_dedupes_within_a_batch(table_instances):
     assert service.stats.hits == 1 and service.stats.misses == 1
     assert service.tier_stats["memory"].hits == 1
     assert "segments" not in service.tier_stats  # no disk tiers configured
+
+
+class ShortBackend(CountingBackend):
+    """A broken backend: drops the last trace of every batch."""
+
+    def generate(self, requests):
+        return super().generate(requests)[:-1]
+
+
+def test_service_rejects_a_backend_returning_the_wrong_trace_count(table_instances):
+    """A short batch must fail loudly, not pad the results with None."""
+    service = GenerationService(ShortBackend(SimulatorBackend(TransparentLLM(seed=11))))
+    requests = [GenerationRequest(FREE, i) for i in table_instances[:3]]
+    with pytest.raises(RuntimeError, match="backend returned 2 traces for 3 requests"):
+        service.generate(requests)
+    # Nothing was admitted: every request is still a miss.
+    assert service.stats.misses == 0
+    assert not any(service.cache.contains(r.key) for r in requests)
 
 
 def test_service_tier_promotion_and_eviction(tmp_path, table_instances):
@@ -558,9 +361,7 @@ def test_caching_llm_is_a_thin_service_adapter(table_instances):
 def test_service_pickles_to_cold_equivalent(table_instances):
     import pickle
 
-    service = GenerationService.build(
-        TransparentLLM(seed=11), gen_backend=ASYNC, max_wait_ms=1.0
-    )
+    service = GenerationService.build(TransparentLLM(seed=11))
     trace = service.generate_one(GenerationRequest(FREE, table_instances[0]))
     clone = pickle.loads(pickle.dumps(service))
     try:
@@ -577,20 +378,17 @@ def test_service_pickles_to_cold_equivalent(table_instances):
 
 def test_sweep_summary_byte_identical_across_backends(tmp_path):
     payloads = {}
-    for gen_backend in ("simulator", "async", "process"):
-        out = tmp_path / gen_backend
-        with SweepRunner(
-            SPEC, out, gen_backend=gen_backend, max_batch=4, max_wait_ms=5.0
-        ) as runner:
+    for kind in (SIMULATOR, PROCESS):
+        out = tmp_path / kind
+        with SweepRunner(SPEC, out, backend_spec=BackendSpec(kind=kind, workers=1)) as runner:
             runner.run_shard()
             merged = merge_sweep(out)
         assert merged["summary"]["n_units"] == 1
-        payloads[gen_backend] = (out / SUMMARY_NAME).read_bytes()
-    assert payloads["simulator"] == payloads["async"]  # byte for byte
-    assert payloads["simulator"] == payloads["process"]  # the new axis too
+        payloads[kind] = (out / SUMMARY_NAME).read_bytes()
+    assert payloads[SIMULATOR] == payloads[PROCESS]  # byte for byte
 
 
-def test_warm_async_run_over_compacted_store_has_zero_misses(tmp_path):
+def test_warm_run_over_compacted_store_has_zero_misses(tmp_path):
     cache_dir = tmp_path / "gen"
     cold = SweepRunner(SPEC, tmp_path / "cold", cache_dir=cache_dir)
     cold.run_shard()
@@ -601,9 +399,7 @@ def test_warm_async_run_over_compacted_store_has_zero_misses(tmp_path):
     assert compactor.compact() > 0
     compactor.close()
 
-    warm = SweepRunner(
-        SPEC, tmp_path / "warm", cache_dir=cache_dir, gen_backend=ASYNC, max_wait_ms=1.0
-    )
+    warm = SweepRunner(SPEC, tmp_path / "warm", cache_dir=cache_dir)
     manifest = warm.run_shard()
     warm.service.close()
     stats = manifest["runtime"]["generation_cache"]
@@ -621,78 +417,13 @@ def test_warm_async_run_over_compacted_store_has_zero_misses(tmp_path):
 # -- lifecycle: nothing outlives a run ----------------------------------------
 
 
-def microbatcher_threads() -> "list[threading.Thread]":
-    return [
-        thread
-        for thread in threading.enumerate()
-        if thread.name == "generation-microbatcher"
-    ]
-
-
-def test_service_is_a_context_manager(table_instances):
-    with GenerationService.build(
-        TransparentLLM(seed=11), gen_backend=ASYNC, max_wait_ms=1.0
-    ) as service:
-        service.generate_one(GenerationRequest(FREE, table_instances[0]))
-        assert microbatcher_threads()
-    assert not microbatcher_threads()
-
-
-def test_run_cli_leaves_no_scheduler_threads(capsys, monkeypatch):
-    from repro.runtime.cli import main
-
-    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-    args = [
-        "--benchmark", "bird",
-        "--split", "dev",
-        "--task", "table",
-        "--scale", "tiny",
-        "--limit", "2",
-        "--backend", "async",
-        "--max-wait-ms", "1",
-    ]
-    assert main(args) == 0
-    capsys.readouterr()
-    assert not microbatcher_threads(), "a scheduler thread outlived repro-run"
-
-
-def test_run_cli_closes_backend_on_error_paths(capsys, monkeypatch):
-    """The lifecycle bug: a crash mid-run must still tear the service
-    down — no daemon scheduler threads (or worker processes) leak."""
-    from repro.runtime import runner as runner_module
-    from repro.runtime.cli import main
-
-    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-
-    def explode(self, *args, **kwargs):
-        raise RuntimeError("mid-run crash")
-
-    monkeypatch.setattr(runner_module.BatchRunner, "run_link", explode)
-    args = [
-        "--benchmark", "bird",
-        "--split", "dev",
-        "--task", "table",
-        "--scale", "tiny",
-        "--limit", "2",
-        "--backend", "async",
-        "--max-wait-ms", "1",
-    ]
-    with pytest.raises(RuntimeError, match="mid-run crash"):
-        main(args)
-    capsys.readouterr()
-    assert not microbatcher_threads(), "error path leaked the scheduler thread"
-
-
-def test_sweep_cli_closes_process_workers(tmp_path, capsys, monkeypatch):
-    """After repro-sweep exits, no generation worker subprocess remains."""
-    import os
+@pytest.fixture
+def spawned_workers(monkeypatch) -> "list[int]":
+    """PIDs of every worker subprocess the process backend spawns."""
     import subprocess
-    import time
 
     from repro.runtime import remote as remote_module
-    from repro.runtime.cli import main_sweep
 
-    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
     spawned: list[int] = []
     original = subprocess.Popen
 
@@ -702,6 +433,89 @@ def test_sweep_cli_closes_process_workers(tmp_path, capsys, monkeypatch):
         return proc
 
     monkeypatch.setattr(remote_module.subprocess, "Popen", tracking_popen)
+    return spawned
+
+
+def survivors(pids: "list[int]", timeout_s: float = 10.0) -> "set[int]":
+    """The PIDs still alive (or unreaped) once ``timeout_s`` has passed."""
+    deadline = time.monotonic() + timeout_s
+    alive = set(pids)
+    while alive and time.monotonic() < deadline:
+        for pid in list(alive):
+            try:
+                os.kill(pid, 0)
+            except ProcessLookupError:
+                alive.discard(pid)
+        time.sleep(0.02)
+    return alive
+
+
+def lingering_backend_threads(
+    before: "set[threading.Thread]", timeout_s: float = 10.0
+) -> "list[str]":
+    """Supervisor threads (acceptor, per-worker readers) started since
+    ``before`` and still running once ``timeout_s`` has passed."""
+    deadline = time.monotonic() + timeout_s
+    while True:
+        lingering = [
+            t.name
+            for t in threading.enumerate()
+            if t.name.startswith("generation-") and t not in before
+        ]
+        if not lingering or time.monotonic() >= deadline:
+            return lingering
+        time.sleep(0.02)
+
+
+RUN_PROCESS_ARGS = [
+    "--benchmark", "bird",
+    "--split", "dev",
+    "--task", "table",
+    "--scale", "tiny",
+    "--limit", "2",
+    "--backend", "process",
+    "--gen-workers", "1",
+]
+
+
+def test_run_cli_leaves_no_scheduler_threads(capsys, monkeypatch, spawned_workers):
+    from repro.runtime.cli import main
+
+    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+    before = set(threading.enumerate())
+    assert main(RUN_PROCESS_ARGS) == 0
+    capsys.readouterr()
+    assert spawned_workers, "the process backend never spawned workers"
+    assert not survivors(spawned_workers), "a worker process outlived repro-run"
+    assert not lingering_backend_threads(before), "a supervisor thread outlived repro-run"
+
+
+def test_run_cli_closes_backend_on_error_paths(capsys, monkeypatch, spawned_workers):
+    """The lifecycle bug: a crash mid-run must still tear the service
+    down — no worker processes (or supervisor threads) leak."""
+    from repro.runtime import runner as runner_module
+    from repro.runtime.cli import main
+
+    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+
+    def explode(self, *args, **kwargs):
+        raise RuntimeError("mid-run crash")
+
+    monkeypatch.setattr(runner_module.BatchRunner, "run_link", explode)
+    before = set(threading.enumerate())
+    with pytest.raises(RuntimeError, match="mid-run crash"):
+        main(RUN_PROCESS_ARGS)
+    capsys.readouterr()
+    assert spawned_workers, "the process backend never spawned workers"
+    assert not survivors(spawned_workers), "error path leaked a worker process"
+    assert not lingering_backend_threads(before), "error path leaked a supervisor thread"
+
+
+def test_sweep_cli_closes_process_workers(tmp_path, capsys, monkeypatch, spawned_workers):
+    """After repro-sweep exits, no generation worker subprocess remains."""
+    from repro.runtime.cli import main_sweep
+
+    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
     args = [
         "run",
         "--benchmarks", "bird",
@@ -717,16 +531,8 @@ def test_sweep_cli_closes_process_workers(tmp_path, capsys, monkeypatch):
     ]
     assert main_sweep(args) == 0
     capsys.readouterr()
-    assert spawned, "the process backend never spawned workers"
-    deadline = time.monotonic() + 10
-    alive = set(spawned)
-    while alive and time.monotonic() < deadline:
-        for pid in list(alive):
-            try:
-                os.kill(pid, 0)
-            except ProcessLookupError:
-                alive.discard(pid)
-        time.sleep(0.02)
+    assert spawned_workers, "the process backend never spawned workers"
+    alive = survivors(spawned_workers)
     assert not alive, f"worker processes outlived repro-sweep: {alive}"
 
 
@@ -888,26 +694,6 @@ def test_run_cli_honors_cache_dir_env_default(tmp_path, capsys, monkeypatch):
     warm = json.loads(capsys.readouterr().out)
     assert warm["generation_cache"]["misses"] == 0
     assert warm["summary"] == cold["summary"]
-
-
-def test_run_cli_async_backend_matches_simulator_summary(tmp_path, capsys, monkeypatch):
-    from repro.runtime.cli import main
-
-    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-    args = [
-        "--benchmark", "bird",
-        "--split", "dev",
-        "--task", "table",
-        "--scale", "tiny",
-        "--limit", "2",
-        "--workers", "2",
-    ]
-    assert main([*args, "--backend", "simulator"]) == 0
-    simulator = json.loads(capsys.readouterr().out)
-    assert main([*args, "--backend", "async", "--max-wait-ms", "1"]) == 0
-    asynced = json.loads(capsys.readouterr().out)
-    assert simulator["summary"] == asynced["summary"]
-    assert asynced["backend"] == "async"
 
 
 def test_cache_cli_stats_and_compact(tmp_path, capsys):
