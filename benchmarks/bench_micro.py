@@ -188,7 +188,7 @@ def test_bench_generation_cache_cold_vs_warm(benchmark, ctx):
 # Same uncached workload (free + teacher-forced traces over the dev
 # split) through both generation backends. Compare the "service" group's
 # rows: at tiny scale the process backend's IPC overhead (pickle framing
-# over pipes) dominates, so these track that overhead staying bounded;
+# over a socketpair) dominates, so these track that overhead staying bounded;
 # the crash-isolation win shows up with real workloads. Output bytes
 # must never differ between the rows (pinned by tests).
 
@@ -414,15 +414,16 @@ def test_bench_store_warm_read_binary(
     benchmark.extra_info["traces"] = len(addresses)
 
 
-# -- IPC throughput: pipe vs socket transport ---------------------------------
+# -- IPC throughput -----------------------------------------------------------
 #
-# The same wide teacher-forced workload through a one-worker
-# ProcessBackend on each transport. The worker's LLM is wrapped in
-# CachingLLM and the fleet is warmed with one untimed sweep, so the timed
-# rounds are serialization-bound: they measure moving traces across the
-# process boundary (one framed pickle per result, the hidden tensor
-# written once), not resynthesizing them. `scripts/dev.sh bench-smoke`
-# prints the unix-vs-pipe ratio of medians and MB/s from `extra_info`.
+# A wide teacher-forced workload through a one-worker ProcessBackend.
+# Every spawned worker talks over a socketpair whatever the transport, so
+# one row covers them all. The worker's LLM is wrapped in CachingLLM and
+# the fleet is warmed with one untimed sweep, so the timed rounds are
+# serialization-bound: they measure moving traces across the process
+# boundary (one framed pickle per result, the hidden tensor written
+# once), not resynthesizing them. `scripts/dev.sh bench-smoke` prints
+# MB/s and traces/s from `extra_info`.
 
 
 @pytest.fixture(scope="module")
@@ -437,24 +438,13 @@ def ipc_payload_bytes(store_traces):
     return int(sum(t.hidden_matrix().nbytes for t in store_traces))
 
 
-def _bench_ipc(benchmark, requests, payload_bytes, *, transport):
+@pytest.mark.benchmark(group="ipc-throughput")
+def test_bench_ipc_throughput(benchmark, ipc_requests, ipc_payload_bytes):
     from repro.runtime.remote import ProcessBackend
 
-    with ProcessBackend(
-        CachingLLM(TransparentLLM(seed=11)), workers=1, transport=transport
-    ) as backend:
+    with ProcessBackend(CachingLLM(TransparentLLM(seed=11)), workers=1) as backend:
         backend.ping()  # workers booted outside the timed region
-        backend.generate(requests)  # warm the worker-side cache untimed
-        benchmark(lambda: backend.generate(requests))
-    benchmark.extra_info["payload_bytes"] = payload_bytes
-    benchmark.extra_info["traces"] = len(requests)
-
-
-@pytest.mark.benchmark(group="ipc-throughput")
-def test_bench_ipc_pipe_inline(benchmark, ipc_requests, ipc_payload_bytes):
-    _bench_ipc(benchmark, ipc_requests, ipc_payload_bytes, transport="pipe")
-
-
-@pytest.mark.benchmark(group="ipc-throughput")
-def test_bench_ipc_unix_inline(benchmark, ipc_requests, ipc_payload_bytes):
-    _bench_ipc(benchmark, ipc_requests, ipc_payload_bytes, transport="unix")
+        backend.generate(ipc_requests)  # warm the worker-side cache untimed
+        benchmark(lambda: backend.generate(ipc_requests))
+    benchmark.extra_info["payload_bytes"] = ipc_payload_bytes
+    benchmark.extra_info["traces"] = len(ipc_requests)

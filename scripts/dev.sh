@@ -60,7 +60,7 @@ bench_smoke() {
     --benchmark-json=out/bench-smoke.json
 
   # Surface the headline ratios (vectorized trace synthesis, binary
-  # store warm reads, unix-vs-pipe IPC) in the job log so regressions
+  # store warm reads) and IPC throughput in the job log so regressions
   # are visible without opening the JSON artifact. Ratios are of
   # medians; a ratio whose two rows' interquartile ranges overlap is
   # reported as "unresolved" — the spread does not separate them.
@@ -100,15 +100,13 @@ if b64 in stats and raw in stats:
           f"(base64 {ms(b64)} -> binary mmap {ms(raw)}, "
           f"{nbytes / stats[raw]['median'] / 1e6:.0f} MB/s)")
 
-pipe = "test_bench_ipc_pipe_inline"
-unix = "test_bench_ipc_unix_inline"
-if pipe in stats and unix in stats:
-    nbytes = extra[unix].get("payload_bytes", 0)
-    traces = extra[unix].get("traces", 0)
-    median = stats[unix]["median"]
-    print(f"ipc-throughput unix vs pipe: {ratio(pipe, unix)} "
-          f"(pipe {ms(pipe)} -> unix {ms(unix)}, "
-          f"{nbytes / median / 1e6:.0f} MB/s, {traces / median:.0f} traces/s)")
+ipc = "test_bench_ipc_throughput"
+if ipc in stats:
+    nbytes = extra[ipc].get("payload_bytes", 0)
+    traces = extra[ipc].get("traces", 0)
+    median = stats[ipc]["median"]
+    print(f"ipc-throughput: {ms(ipc)} per sweep, "
+          f"{nbytes / median / 1e6:.0f} MB/s, {traces / median:.0f} traces/s")
 PY
 }
 

@@ -1,7 +1,6 @@
 """Checker: the IPC op vocabulary matches in both directions.
 
-``remote.py`` frames pickled dicts tagged with an ``"op"`` key over a
-pipe or socket. The supervisor and the worker each *send* a set of ops
+``remote.py`` frames dicts tagged with an ``"op"`` key over a socket. The supervisor and the worker each *send* a set of ops
 and *handle* a set of ops, and the protocol is only sound when the two
 sides agree exhaustively: every op one side sends, the other side
 matches by tag somewhere, and neither side matches ops that nobody
@@ -18,8 +17,8 @@ This checker rediscovers those four sets from the AST of each module:
 
 Side attribution is lexical: code inside a class whose name contains a
 supervisor marker (``Backend``, ``Supervisor``) is the supervisor side;
-everything else — module functions like ``worker_main`` — is the worker
-side. The checker stays silent unless the file has traffic on both
+everything else — module functions like ``socket_worker_main`` — is the
+worker side. The checker stays silent unless the file has traffic on both
 sides, so ordinary modules that happen to build ``{"op": ...}`` dicts
 are not dragged in.
 """

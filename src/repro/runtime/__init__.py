@@ -26,8 +26,8 @@ This package provides the shared substrate for doing that at scale:
   `SweepRunner` / `merge_sweep`: deterministic sharding of multi-axis
   evaluation matrices with byte-identical merged summaries;
 * :mod:`repro.runtime.remote` — the process/socket worker substrate:
-  a `Transport` seam (stdio pipes, unix-domain and TCP sockets) under
-  the `ProcessBackend` supervisor, with hello/heartbeat registration,
+  one `SocketTransport` (socketpairs for spawned workers, unix-domain
+  and TCP listeners for joins) under the `ProcessBackend` supervisor, with hello/heartbeat registration,
   EWMA latency-aware scheduling, restart-on-crash and in-flight
   requeue; ``repro-worker --connect`` joins a fleet from any machine;
 * :mod:`repro.runtime.serve` — the ``repro-serve`` online tier:

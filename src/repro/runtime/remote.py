@@ -8,17 +8,20 @@ over sockets, onto other machines:
 
 :class:`ProcessBackend` (the supervisor)
     Manages a fleet of workers, each a request-serving loop over framed,
-    length-prefixed IPC. *Where* a worker lives is a transport choice:
+    length-prefixed IPC on one connected socket (:class:`SocketTransport`).
+    Every local worker is spawned the same way: the child end of a
+    ``socket.socketpair()`` is its stdin, and its stdout/stderr go to a
+    per-worker log. The transport only decides whether the supervisor
+    *also* listens for workers it did not spawn:
 
-    * ``transport="pipe"`` (default) — N spawned subprocesses speaking
-      frames on their stdin/stdout pipes (:class:`PipeTransport`);
-    * ``transport="unix"`` / ``transport="tcp"`` — the supervisor binds
-      a listening socket, spawns N ``repro-worker`` subprocesses that
-      connect back to it, and *also* accepts unsolicited connections
-      from external ``repro-worker --connect <address>`` processes on
-      any machine that can reach the address (:class:`SocketTransport`).
-      Socket workers introduce themselves with an identity/capabilities
-      ``hello`` and send periodic ``heartbeat`` frames.
+    * ``transport="pipe"`` (default) — spawned workers only, no listener;
+    * ``transport="unix"`` / ``transport="tcp"`` — the supervisor also
+      binds a listening socket and adopts external
+      ``repro-worker --connect <address>`` processes on any machine that
+      can reach the address.
+
+    Every worker introduces itself with an identity/capabilities
+    ``hello`` and sends periodic ``heartbeat`` frames.
 
     Batches are scheduled by observed per-worker latency: each worker
     carries an EWMA of its request round-trip times and every request
@@ -34,18 +37,21 @@ over sockets, onto other machines:
 
 Wire protocol
 -------------
-Frames are ``4-byte big-endian length + payload``; payloads are pickled
-message dicts tagged with ``"op"``::
+Frames are ``4-byte big-endian length + payload``. The first frame, the
+worker's ``hello``, is a JSON object of at most 64 KiB (anything else is
+dropped unread): the supervisor reads it before it knows who is talking,
+so it is never unpickled. Every later payload is a pickled message dict
+tagged with ``"op"``::
 
     worker -> supervisor: {"op": "hello", "pid": ..., "host": ...,
-                           "token": ..., "capabilities": {...}}   (socket only)
+                           "token": ..., "capabilities": {...}}   (JSON)
     supervisor -> worker: {"op": "init", "llm": TransparentLLM}
     worker -> supervisor: {"op": "ready", "pid": ...}
     supervisor -> worker: {"op": "generate", "id": n, "request": GenerationRequest}
     worker -> supervisor: {"op": "result", "id": n, "trace": GenerationTrace}
                           | {"op": "error", "id": n, "error": traceback str}
     supervisor -> worker: {"op": "ping", "id": n}   -> {"op": "pong", "id": n}
-    worker -> supervisor: {"op": "heartbeat", "pid": ...}         (socket only)
+    worker -> supervisor: {"op": "heartbeat", "pid": ...}
     worker -> supervisor: {"op": "draining", "pid": ...}   (SIGTERM received)
     supervisor -> worker: {"op": "goodbye", "reason": ...} (hello rejected)
     supervisor -> worker: {"op": "shutdown"}        (or EOF)
@@ -55,17 +61,17 @@ pickle. A :class:`~repro.llm.model.GenerationTrace` pickles its
 ``hidden_stack`` once and rebuilds the per-step ``hidden`` rows as views
 of it on load, so a result frame carries one copy of the tensor.
 
-Hardening: the supervisor can carry a ``fleet_token`` — socket hellos
-must present it (compared with ``hmac.compare_digest``) or the
-connection is dropped before any pickle of ours reaches the peer. A
-``request_timeout_s`` deadline bounds every ``generate`` wait; an
-expired request raises :class:`~repro.runtime.service.DeadlineExceeded`
-to its caller while the supervisor disowns the in-flight id — the late
-result is absorbed (not a duplicate) and a later crash will not requeue
-it. ``SIGTERM`` to a worker (or :meth:`ProcessBackend.drain`) starts a
-graceful drain: the worker stops receiving new dispatch, finishes its
-in-flight requests, and deregisters with zero requeues — the rolling
-restart primitive.
+Hardening: a hello not received within ``startup_timeout_s`` is dropped. The
+supervisor can carry a ``fleet_token`` — external hellos must present it
+(compared with ``hmac.compare_digest``) or the connection is dropped
+before any pickle of ours reaches the peer. A ``request_timeout_s``
+deadline bounds every ``generate`` wait; an expired request raises
+:class:`~repro.runtime.service.DeadlineExceeded` to its caller while the
+supervisor disowns the in-flight id — the late result is absorbed (not a
+duplicate) and a later crash will not requeue it. ``SIGTERM`` to a
+worker (or :meth:`ProcessBackend.drain`) starts a graceful drain: the
+worker stops receiving new dispatch, finishes its in-flight requests,
+and deregisters with zero requeues — the rolling restart primitive.
 
 Pickle round-trips numpy arrays bit-exactly and traces are pure
 functions of their requests, so :class:`ProcessBackend` is byte-identical
@@ -74,9 +80,10 @@ the ``--backend process`` axis changes *where* a generation runs, never
 a single summary byte. ``identity()`` is the simulator identity tuple,
 so all backends share one persistent-cache namespace.
 
-Workers write nothing to their frame channel except frames (diagnostics
-go to stderr, captured per worker under ``log_dir`` — defaulted to a
-fresh temp directory so crash forensics always exist). The
+A spawned worker's frame channel is its socketpair, not its stdout: its
+stdout and stderr are captured per worker under ``log_dir`` (defaulted
+to a fresh temp directory so crash forensics always exist), so a stray
+``print`` can never corrupt the protocol. The
 ``REPRO_WORKER_CHAOS_DELAY_MS`` environment variable makes each worker
 sleep that long before every generation — a fault-injection knob used by
 the kill-recovery tests and the CI smoke jobs to hold a batch open long
@@ -86,11 +93,14 @@ enough to crash a worker mid-flight.
 from __future__ import annotations
 
 import argparse
+import errno
 import hmac
+import json
 import os
 import pickle
 import signal
 import socket
+import stat
 import struct
 import subprocess
 import sys
@@ -122,7 +132,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "CHAOS_DELAY_ENV",
     "DEFAULT_HEARTBEAT_S",
-    "PipeTransport",
+    "HELLO_MAX_BYTES",
     "ProcessBackend",
     "SocketTransport",
     "SupervisorStats",
@@ -137,12 +147,12 @@ __all__ = [
     "recv_message",
     "send_message",
     "socket_worker_main",
-    "worker_main",
     "write_frame",
 ]
 
 CHAOS_DELAY_ENV = "REPRO_WORKER_CHAOS_DELAY_MS"
 DEFAULT_HEARTBEAT_S = 2.0
+HELLO_MAX_BYTES = 64 * 1024
 
 _HEADER = struct.Struct(">I")
 
@@ -177,16 +187,20 @@ def write_frame(stream, payload: bytes) -> None:
     stream.flush()
 
 
-def read_frame(stream) -> "bytes | None":
+def read_frame(stream, max_length: "int | None" = None) -> "bytes | None":
     """The next frame payload, or None on EOF / a torn partial frame.
 
     A frame cut short by a dying peer is indistinguishable from EOF on
     purpose: both mean "this channel is done", never a corrupt message.
+    A header announcing more than ``max_length`` bytes is None too, with
+    no payload read.
     """
     header = _read_exact(stream, _HEADER.size)
     if header is None:
         return None
     (length,) = _HEADER.unpack(header)
+    if max_length is not None and length > max_length:
+        return None
     if length == 0:
         return b""
     return _read_exact(stream, length)
@@ -231,74 +245,67 @@ def connect_address(address: str) -> socket.socket:
     return socket.create_connection(target)
 
 
+def _refuses_connect(path: str) -> bool:
+    """Is ``path`` a socket node nobody listens on (a killed supervisor's)?"""
+    if not stat.S_ISSOCK(os.lstat(path).st_mode):
+        return False
+    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as probe:
+        probe.settimeout(1.0)
+        try:
+            probe.connect(path)
+        except ConnectionRefusedError:
+            return True
+        except OSError:
+            return False
+    return False
+
+
 def create_listener(transport: str, address: "str | None") -> tuple:
     """A bound, listening socket plus its canonical address string.
 
     With no explicit ``address``, unix sockets bind in a fresh temp
     directory and TCP binds an ephemeral localhost port — both printed
-    back as the address workers should ``--connect`` to.
+    back as the address workers should ``--connect`` to. A unix path a
+    killed supervisor left behind is reclaimed only when its socket node
+    refuses ``connect``: a live supervisor's address still raises.
     """
-    if transport == UNIX_TRANSPORT:
-        if address is not None:
-            path = parse_address(address)[1]
+    if transport not in (UNIX_TRANSPORT, TCP_TRANSPORT):
+        raise ValueError(f"transport {transport!r} has no listener")
+    family = socket.AF_UNIX if transport == UNIX_TRANSPORT else socket.AF_INET
+    sock = socket.socket(family, socket.SOCK_STREAM)
+    try:
+        if transport == UNIX_TRANSPORT:
+            if address is not None:
+                path = parse_address(address)[1]
+            else:
+                path = str(Path(tempfile.mkdtemp(prefix="repro-sup-")) / "supervisor.sock")
+            try:
+                sock.bind(path)
+            except OSError as exc:
+                if exc.errno != errno.EADDRINUSE or not _refuses_connect(path):
+                    raise
+                os.unlink(path)
+                sock.bind(path)
+            canonical = f"unix:{path}"
         else:
-            path = str(Path(tempfile.mkdtemp(prefix="repro-sup-")) / "supervisor.sock")
-        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        sock.bind(path)
+            host, port = parse_address(address)[1] if address is not None else ("127.0.0.1", 0)
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            sock.bind((host, port))
+            bound_host, bound_port = sock.getsockname()[:2]
+            canonical = f"tcp:{bound_host}:{bound_port}"
         sock.listen()
-        return sock, f"unix:{path}"
-    if transport == TCP_TRANSPORT:
-        host, port = parse_address(address)[1] if address is not None else ("127.0.0.1", 0)
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        sock.bind((host, port))
-        sock.listen()
-        bound_host, bound_port = sock.getsockname()[:2]
-        return sock, f"tcp:{bound_host}:{bound_port}"
-    raise ValueError(f"transport {transport!r} has no listener")
+    except BaseException:
+        sock.close()  # a failed bind must not leak the socket
+        raise
+    return sock, canonical
 
 
-# -- transports ---------------------------------------------------------------
-
-
-class PipeTransport:
-    """Framed IPC over a spawned subprocess's stdin/stdout pipes."""
-
-    def __init__(self, proc: subprocess.Popen):
-        self.proc = proc
-
-    def send(self, message: dict) -> None:
-        send_message(self.proc.stdin, message)
-
-    def send_bytes(self, payload: bytes) -> None:
-        write_frame(self.proc.stdin, payload)
-
-    def recv(self) -> "dict | None":
-        try:
-            return recv_message(self.proc.stdout)
-        except Exception:  # repro-lint: ignore[exception-hygiene] torn pickle == dying worker; None tells the read loop to recover it
-            return None
-
-    def alive(self) -> bool:
-        return self.proc.poll() is None
-
-    def begin_shutdown(self) -> None:
-        """Politely end the channel (the worker loop exits on EOF)."""
-        try:
-            self.proc.stdin.close()
-        except (OSError, ValueError):
-            pass
-
-    def kill(self) -> None:
-        if self.proc.poll() is None:
-            self.proc.kill()
-
-    def close(self) -> None:
-        self.begin_shutdown()
+# -- the transport ------------------------------------------------------------
 
 
 class SocketTransport:
-    """Framed IPC over one connected unix-domain or TCP socket."""
+    """Framed IPC over one connected socket: a spawned worker's
+    socketpair or an external worker's unix-domain / TCP connection."""
 
     def __init__(self, sock: socket.socket):
         self.sock = sock
@@ -318,6 +325,26 @@ class SocketTransport:
         except Exception:  # repro-lint: ignore[exception-hygiene] closed under us / torn pickle == dead peer; None triggers recovery
             return None
 
+    def send_hello(self, hello: dict) -> None:
+        write_frame(self._wfile, json.dumps(hello).encode("utf-8"))
+
+    def recv_hello(self, timeout_s: float) -> "dict | None":
+        """The peer's hello: one JSON-object frame of at most
+        :data:`HELLO_MAX_BYTES`, read within ``timeout_s``.
+
+        None for silence, EOF, an oversized length header (refused before
+        any payload read) or a payload that is not a JSON object. The
+        hello is never unpickled: nothing the peer sends runs code here.
+        """
+        try:
+            self.sock.settimeout(timeout_s)
+            payload = read_frame(self._rfile, max_length=HELLO_MAX_BYTES)
+            self.sock.settimeout(None)
+            hello = json.loads(payload) if payload is not None else None
+        except (OSError, ValueError):  # timeout, reset, not JSON / UTF-8
+            return None
+        return hello if isinstance(hello, dict) else None
+
     def alive(self) -> bool:
         return not self._closed
 
@@ -328,9 +355,6 @@ class SocketTransport:
             self.sock.shutdown(socket.SHUT_WR)
         except (OSError, ValueError):
             pass
-
-    def kill(self) -> None:
-        self.close()
 
     def close(self) -> None:
         if self._closed:
@@ -347,7 +371,7 @@ class SocketTransport:
 
 
 def _serve_requests(recv: Callable, send: Callable, llm) -> int:
-    """The shared request loop: generate/ping until EOF or shutdown.
+    """The worker's request loop: generate/ping until EOF or shutdown.
 
     Request-level failures are reported as ``error`` messages (the loop
     keeps serving); only a broken channel or a shutdown message ends it.
@@ -396,38 +420,6 @@ def _drain_notifier(send: Callable, drain_event: threading.Event) -> None:
         pass  # channel gone: the main loop is exiting anyway
 
 
-def worker_main(stdin=None, stdout=None, drain_event=None) -> int:
-    """Serve generation requests over framed stdin/stdout until EOF.
-
-    The first frame is the init message carrying the pickled
-    :class:`TransparentLLM`; everything after is request/response.
-    ``drain_event`` (set by ``main_worker``'s SIGTERM handler) makes the
-    worker announce ``draining`` upstream and finish gracefully.
-    """
-    stdin = stdin if stdin is not None else sys.stdin.buffer
-    stdout = stdout if stdout is not None else sys.stdout.buffer
-    init = recv_message(stdin)
-    if init is None or init.get("op") != "init":
-        print("repro worker: no init message; exiting", file=sys.stderr)
-        return 1
-    llm = init["llm"]
-    write_lock = threading.Lock()
-
-    def send(message: dict) -> None:
-        with write_lock:
-            send_message(stdout, message)
-
-    if drain_event is not None:
-        threading.Thread(
-            target=_drain_notifier,
-            args=(send, drain_event),
-            name="repro-worker-drain",
-            daemon=True,
-        ).start()
-    send({"op": "ready", "pid": os.getpid()})
-    return _serve_requests(lambda: recv_message(stdin), send, llm)
-
-
 def _heartbeat_loop(send: Callable, stop: threading.Event, interval_s: float) -> None:
     while not stop.wait(interval_s):
         try:
@@ -437,27 +429,22 @@ def _heartbeat_loop(send: Callable, stop: threading.Event, interval_s: float) ->
 
 
 def socket_worker_main(
-    address: str,
+    sock: socket.socket,
     token: "str | None" = None,
     heartbeat_s: float = DEFAULT_HEARTBEAT_S,
     drain_event=None,
 ) -> int:
-    """Connect to a supervisor, register, and serve its requests.
+    """Register with the supervisor on ``sock`` and serve its requests.
 
-    This is the ``repro-worker`` entry point: the hello frame carries
-    the worker's identity (pid, host) and capabilities, the supervisor
-    answers with the init message, and a daemon thread heartbeats every
-    ``heartbeat_s`` seconds so the supervisor can tell a slow worker
-    from a dead link. ``token`` doubles as the spawn token (supervisor-
-    launched workers) or the shared fleet token (external joins against
-    a ``--fleet-token`` supervisor); ``drain_event`` triggers the
+    This is the one worker loop, whether ``sock`` is the socketpair a
+    supervisor spawned us on or an external ``--connect`` dial: the
+    hello frame carries the worker's identity (pid, host), capabilities
+    and the fleet ``token`` (checked for external joins only), the
+    supervisor answers with the init message, and a daemon thread
+    heartbeats every ``heartbeat_s`` seconds so the supervisor can tell
+    a slow worker from a dead link. ``drain_event`` triggers the
     graceful-drain announcement (see :func:`_drain_notifier`).
     """
-    try:
-        sock = connect_address(address)
-    except OSError as exc:
-        print(f"repro-worker: cannot connect to {address}: {exc}", file=sys.stderr)
-        return 1
     transport = SocketTransport(sock)
     write_lock = threading.Lock()
 
@@ -466,7 +453,7 @@ def socket_worker_main(
             transport.send(message)
 
     try:
-        send(
+        transport.send_hello(
             {
                 "op": "hello",
                 "pid": os.getpid(),
@@ -518,10 +505,11 @@ examples:
   # join a supervisor on another machine over TCP
   repro-worker --connect tcp:10.0.0.5:7431
 
-Without --connect the worker serves framed stdio — the pipe-transport
-mode ProcessBackend spawns directly. Generations are byte-identical on
-every transport; REPRO_WORKER_CHAOS_DELAY_MS delays each generation for
-fault-injection testing.
+Without --connect the worker serves the connected socket on its stdin:
+the socketpair ProcessBackend spawns every local worker on. Any other
+stdin is an error. Generations are byte-identical on every transport;
+REPRO_WORKER_CHAOS_DELAY_MS delays each generation for fault-injection
+testing.
 """
 
 
@@ -535,14 +523,8 @@ def build_worker_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--connect",
         default=None,
-        help="supervisor address (unix:/path or tcp:host:port); "
-        "omit to serve framed stdio as a pipe-transport worker",
-    )
-    parser.add_argument(
-        "--token",
-        default=None,
-        help="spawn token echoed in the hello frame (set by the supervisor "
-        "when it launches its own socket workers)",
+        help="supervisor address (unix:/path or tcp:host:port); omit only "
+        "when stdin is a connected socket (a ProcessBackend-spawned worker)",
     )
     parser.add_argument(
         "--fleet-token",
@@ -554,7 +536,7 @@ def build_worker_parser() -> argparse.ArgumentParser:
         "--heartbeat-s",
         type=float,
         default=DEFAULT_HEARTBEAT_S,
-        help="heartbeat interval for socket transports (0 disables)",
+        help="heartbeat interval (0 disables)",
     )
     return parser
 
@@ -568,12 +550,15 @@ def main_worker(argv: "list[str] | None" = None) -> int:
         signal.signal(signal.SIGTERM, lambda _signum, _frame: drain_event.set())
     except ValueError:  # not the main thread (embedded use): no handler
         pass
-    if args.connect is None:
-        return worker_main(drain_event=drain_event)
-    token = args.token or args.fleet_token or os.environ.get(FLEET_TOKEN_ENV) or None
+    try:
+        sock = connect_address(args.connect) if args.connect is not None else socket.socket(fileno=0)
+    except OSError as exc:
+        source = args.connect or "stdin (not a connected socket; pass --connect ADDRESS)"
+        print(f"repro-worker: no supervisor on {source}: {exc}", file=sys.stderr)
+        return 1
     return socket_worker_main(
-        args.connect,
-        token=token,
+        sock,
+        token=args.fleet_token or os.environ.get(FLEET_TOKEN_ENV) or None,
         heartbeat_s=args.heartbeat_s,
         drain_event=drain_event,
     )
@@ -708,9 +693,9 @@ class ProcessBackend:
     or duplicates one. When the fleet cannot be kept alive, every
     stranded caller gets a :class:`WorkerCrashError` instead of a hang.
 
-    Transports: ``"pipe"`` spawns subprocesses over stdio frames;
-    ``"unix"`` / ``"tcp"`` bind a listening socket, spawn ``workers``
-    local socket workers, and additionally adopt any external
+    Transports: whatever the transport, the ``workers`` local workers
+    are spawned on socketpairs. ``"pipe"`` stops there; ``"unix"`` /
+    ``"tcp"`` also bind a listening socket and adopt any external
     ``repro-worker --connect`` that dials in (``workers=0`` makes the
     supervisor accept-only — it waits for remote workers to join).
     With ``fleet_token`` set, external hellos must present the token
@@ -797,8 +782,6 @@ class ProcessBackend:
         self._listener: "socket.socket | None" = None
         self._listen_address: "str | None" = None
         self._acceptor: "threading.Thread | None" = None
-        self._handshake_lock = threading.Lock()
-        self._spawn_waiters: "dict[str, dict]" = {}  # guarded-by: self._handshake_lock
         self._last_dead: "_Worker | None" = None  # guarded-by: self._lock
 
     # -- protocol surface ----------------------------------------------------
@@ -894,87 +877,56 @@ class ProcessBackend:
             self.log_dir.mkdir(parents=True, exist_ok=True)
         return self.log_dir
 
-    def _ensure_listener(self) -> None:  # caller holds self._lock
-        if self._listener is not None:
-            return
-        self._listener, self._listen_address = create_listener(
-            self.transport, self._address_arg
-        )
-        self._acceptor = threading.Thread(
-            target=self._accept_loop, name="generation-supervisor-acceptor", daemon=True
-        )
-        self._acceptor.start()
-
     def _spawn_worker(self) -> _Worker:  # caller holds self._lock
-        if self._init_blob is None:
-            self._init_blob = pickle.dumps(
-                {"op": "init", "llm": self.llm}, protocol=pickle.HIGHEST_PROTOCOL
-            )
+        """Spawn one local worker on a socketpair and wait until ready.
+
+        The child end is the worker's stdin (``main_worker`` wraps it as
+        a socket); stdout and stderr go to the worker's log. The hello and
+        the ready that follows init each get ``startup_timeout_s``.
+        """
         index = self._next_worker_index
         self._next_worker_index += 1
         log_handle = (self._ensure_log_dir() / f"worker-{index}.log").open("ab")
-        proc: "subprocess.Popen | None" = None
+        argv = [sys.executable, "-m", "repro.runtime.remote"]
+        argv += ["--heartbeat-s", str(self.heartbeat_s)]
+        parent, child = socket.socketpair()
         try:
-            if self.transport == PIPE_TRANSPORT:
-                proc = subprocess.Popen(
-                    [sys.executable, "-m", "repro.runtime.remote"],
-                    stdin=subprocess.PIPE,
-                    stdout=subprocess.PIPE,
-                    stderr=log_handle,
-                    env=self._worker_env(),
-                )
-                transport = PipeTransport(proc)
-                hello: "dict | None" = None
-            else:
-                transport, proc, hello = self._spawn_socket_worker(index, log_handle)
+            proc = subprocess.Popen(
+                argv,
+                stdin=child,
+                stdout=log_handle,
+                stderr=log_handle,
+                env=self._worker_env(),
+            )
         except BaseException:
-            if proc is not None and proc.poll() is None:
-                proc.kill()
-                proc.wait()
+            parent.close()
             log_handle.close()
             raise
-        worker = _Worker(index, transport, proc, log_handle)
-        if hello is not None and hello.get("pid") is not None:
-            worker.pid = int(hello["pid"])
-        worker.reader = threading.Thread(
-            target=self._read_loop,
-            args=(worker,),
-            name=f"generation-worker-reader-{index}",
-            daemon=True,
-        )
+        finally:
+            child.close()  # the worker holds its own copy: EOF when it dies
+        worker = _Worker(index, SocketTransport(parent), proc, log_handle)
         try:
-            with worker.write_lock:
-                try:
-                    transport.send_bytes(self._init_blob)
-                except (OSError, ValueError) as exc:
-                    raise WorkerCrashError(
-                        f"worker {index} died during handshake (see "
-                        f"{self._log_path(worker)})"
-                    ) from exc
-            worker.reader.start()
+            booted = self._read_hello(worker.transport) is not None
+            booted = booted and self._start_worker(worker)
             deadline = time.monotonic() + self.startup_timeout_s
-            while not worker.ready.wait(0.05):
-                if not worker.alive_probe():
-                    raise WorkerCrashError(
-                        f"worker {index} exited during startup (see "
-                        f"{self._log_path(worker)})"
-                    )
-                if time.monotonic() > deadline:
-                    raise WorkerCrashError(
-                        f"worker {index} not ready after "
-                        f"{self.startup_timeout_s}s (see {self._log_path(worker)})"
-                    )
+            while booted and not worker.ready.wait(0.05):
+                booted = worker.alive_probe() and time.monotonic() < deadline
+            if not booted:
+                raise WorkerCrashError(
+                    f"worker {index} failed its hello/init/ready handshake within "
+                    f"{self.startup_timeout_s}s (exit status {proc.poll()}; see "
+                    f"{self._log_path(worker)})"
+                )
         except BaseException:
             # A worker that never booted must not leak: mark it dead
             # before killing so the reader's retirement pass no-ops,
             # and never let it into the fleet (close() would otherwise
             # join a never-started reader thread).
             worker.dead = True
-            worker.transport.kill()
-            if proc is not None:
-                if proc.poll() is None:
-                    proc.kill()
-                proc.wait()
+            worker.transport.close()
+            if proc.poll() is None:
+                proc.kill()
+            proc.wait()
             log_handle.close()
             raise
         # Only a fully booted worker joins the fleet.
@@ -982,63 +934,36 @@ class ProcessBackend:
         self._n_spawned += 1
         return worker
 
-    def _spawn_socket_worker(self, index: int, log_handle) -> tuple:
-        """Launch a local socket worker and wait for it to dial back in.
-
-        The spawned process carries a one-shot token; the acceptor's
-        handshake thread hands its connection over through
-        ``_spawn_waiters`` (its own lock — never the supervisor lock, so
-        external joins racing a spawn cannot deadlock either side).
-        """
-        self._ensure_listener()
-        token = os.urandom(8).hex()
-        slot = {"event": threading.Event(), "transport": None, "hello": None}
-        with self._handshake_lock:
-            self._spawn_waiters[token] = slot
-        proc = subprocess.Popen(
-            [
-                sys.executable,
-                "-m",
-                "repro.runtime.remote",
-                "--connect",
-                self._listen_address,
-                "--token",
-                token,
-                "--heartbeat-s",
-                str(self.heartbeat_s),
-            ],
-            stdin=subprocess.DEVNULL,
-            stdout=log_handle,
-            stderr=log_handle,
-            env=self._worker_env(),
+    def _start_worker(self, worker: _Worker) -> bool:  # caller holds self._lock
+        """Send the init frame and start the worker's reader thread
+        (False, with no reader, when the channel is already broken)."""
+        if self._init_blob is None:
+            self._init_blob = pickle.dumps(
+                {"op": "init", "llm": self.llm}, protocol=pickle.HIGHEST_PROTOCOL
+            )
+        with worker.write_lock:
+            try:
+                worker.transport.send_bytes(self._init_blob)
+            except (OSError, ValueError):
+                return False
+        worker.reader = threading.Thread(
+            target=self._read_loop,
+            args=(worker,),
+            name=f"generation-worker-reader-{worker.index}",
+            daemon=True,
         )
-        try:
-            deadline = time.monotonic() + self.startup_timeout_s
-            while not slot["event"].wait(0.05):
-                if proc.poll() is not None:
-                    raise WorkerCrashError(
-                        f"socket worker {index} exited before connecting (see "
-                        f"{self.log_dir / f'worker-{index}.log'})"
-                    )
-                if time.monotonic() > deadline:
-                    raise WorkerCrashError(
-                        f"socket worker {index} did not connect within "
-                        f"{self.startup_timeout_s}s (address {self._listen_address})"
-                    )
-        except BaseException:
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait()
-            raise
-        finally:
-            with self._handshake_lock:
-                self._spawn_waiters.pop(token, None)
-        return slot["transport"], proc, slot["hello"]
+        worker.reader.start()
+        return True
+
+    def _read_hello(self, transport: SocketTransport) -> "dict | None":
+        """A peer's hello within ``startup_timeout_s``, or None."""
+        hello = transport.recv_hello(self.startup_timeout_s)
+        return hello if hello is not None and hello.get("op") == "hello" else None
 
     def _accept_loop(self) -> None:
         """One acceptor owns ``accept()``; each connection handshakes on
-        its own short-lived thread so a spawn-in-progress (which waits
-        while holding the supervisor lock) never blocks external joins."""
+        its own short-lived thread, bounded by ``startup_timeout_s``, so
+        a silent or slow peer never blocks other joins."""
         listener = self._listener
         while True:
             try:
@@ -1046,28 +971,21 @@ class ProcessBackend:
             except OSError:
                 return  # listener closed: supervisor is shutting down
             threading.Thread(
-                target=self._handshake, args=(conn,), daemon=True
+                target=self._handshake,
+                args=(conn,),
+                name="generation-supervisor-handshake",
+                daemon=True,
             ).start()
 
     def _handshake(self, conn: socket.socket) -> None:
+        """Admit one external worker, or drop it before any pickle flows."""
         transport = SocketTransport(conn)
-        hello = transport.recv()
-        if hello is None or hello.get("op") != "hello":
+        hello = self._read_hello(transport)
+        if hello is None:
             transport.close()
             return
-        token = hello.get("token")
-        if token and isinstance(token, str):
-            with self._handshake_lock:
-                slot = self._spawn_waiters.get(token)
-                if slot is not None:
-                    # One-shot spawn token: this is a worker we launched
-                    # ourselves, vouched for out of band — no fleet
-                    # token required.
-                    slot["transport"] = transport
-                    slot["hello"] = hello
-                    slot["event"].set()
-                    return
         if self.fleet_token is not None:
+            token = hello.get("token")
             presented = token if isinstance(token, str) else ""
             if not hmac.compare_digest(
                 presented.encode("utf-8"), self.fleet_token.encode("utf-8")
@@ -1088,28 +1006,14 @@ class ProcessBackend:
             if self._closing or not self._started:
                 transport.close()
                 return
-            if self._init_blob is None:
-                self._init_blob = pickle.dumps(
-                    {"op": "init", "llm": self.llm}, protocol=pickle.HIGHEST_PROTOCOL
-                )
             index = self._next_worker_index
             self._next_worker_index += 1
             worker = _Worker(index, transport, proc=None, remote=True)
-            if hello.get("pid") is not None:
-                worker.pid = int(hello["pid"])
-            try:
-                with worker.write_lock:
-                    transport.send_bytes(self._init_blob)
-            except (OSError, ValueError):
+            if isinstance(hello.get("pid"), int):
+                worker.pid = hello["pid"]
+            if not self._start_worker(worker):
                 transport.close()
                 return
-            worker.reader = threading.Thread(
-                target=self._read_loop,
-                args=(worker,),
-                name=f"generation-worker-reader-{index}",
-                daemon=True,
-            )
-            worker.reader.start()
             self._fleet.append(worker)
             self._n_spawned += 1
             self._n_external += 1
@@ -1117,8 +1021,6 @@ class ProcessBackend:
     def _log_path(self, worker: _Worker) -> str:
         if worker.remote:
             return f"remote worker pid={worker.pid} (stderr stays on its host)"
-        if self.log_dir is None:
-            return "worker stderr"
         return str(self.log_dir / f"worker-{worker.index}.log")
 
     def _log_tail(self, worker: "_Worker | None", limit: int = 50) -> str:
@@ -1148,8 +1050,16 @@ class ProcessBackend:
             if self._started:
                 return
             self._closing = False
-            if self.transport != PIPE_TRANSPORT:
-                self._ensure_listener()
+            if self.transport != PIPE_TRANSPORT and self._listener is None:
+                self._listener, self._listen_address = create_listener(
+                    self.transport, self._address_arg
+                )
+                self._acceptor = threading.Thread(
+                    target=self._accept_loop,
+                    name="generation-supervisor-acceptor",
+                    daemon=True,
+                )
+                self._acceptor.start()
             self._started = True  # adopts are legal while spawns boot
             try:
                 for _ in range(self.workers):
@@ -1641,7 +1551,7 @@ class ProcessBackend:
         # exiting; close() itself escalates the ones that outstay it.
         if not closing and worker.proc is not None and worker.proc.poll() is None:
             worker.proc.kill()  # broken channel but still running
-        worker.transport.kill()
+        worker.transport.close()
         for _request_id, pending in orphaned:
             if closing or pending.request is None:  # pings don't requeue
                 pending.resolve(error=WorkerCrashError("worker died"))

@@ -36,7 +36,7 @@ pre-service direct calls.
 The other lives in :mod:`repro.runtime.remote` (imported lazily to keep
 this module subprocess-free): :class:`~repro.runtime.remote.
 ProcessBackend`, a supervisor fanning batches over worker subprocesses
-via framed pipe IPC, with health checks, restart-on-crash and in-flight
+via framed socket IPC, with health checks, restart-on-crash and in-flight
 requeue — ``BackendSpec(kind="process")``.
 
 On top sits :class:`GenerationService`: lookups fall through a tier
@@ -103,9 +103,10 @@ SIMULATOR = "simulator"
 PROCESS = "process"
 GEN_BACKENDS = (SIMULATOR, PROCESS)
 
-# Where process-backend workers live: spawned over stdio pipes, or
-# connected over a listening socket (unix-domain / TCP) that external
-# ``repro-worker`` processes can also join.
+# Whether the process backend listens for workers it did not spawn: every
+# local worker is spawned on a socketpair; "pipe" stops there, "unix" /
+# "tcp" also bind a listening socket that external ``repro-worker``
+# processes can join.
 PIPE_TRANSPORT = "pipe"
 UNIX_TRANSPORT = "unix"
 TCP_TRANSPORT = "tcp"
@@ -318,8 +319,9 @@ class BackendSpec:
             "--transport",
             choices=TRANSPORTS,
             default=spec.transport,
-            help="process backend: spawn workers over stdio pipes, or listen "
-            "on a unix/tcp socket that repro-worker processes connect to",
+            help="process backend: pipe: local workers only, no listener; "
+            "unix/tcp: also listen on a socket that repro-worker processes "
+            "connect to",
         )
         group.add_argument(
             "--address",

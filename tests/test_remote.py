@@ -4,8 +4,12 @@ Pins down the tentpole guarantees:
 
 * the wire protocol round-trips frames and messages exactly (EOF and
   torn frames read as channel death, never as corrupt messages);
-* `worker_main` serves init/generate/ping/shutdown over framed streams
-  and reports request-level failures without dying;
+* `socket_worker_main` serves hello/init/generate/ping/shutdown over a
+  socketpair and reports request-level failures without dying;
+* the supervisor's handshake reads a capped JSON hello under a
+  deadline, so a pickled, oversized or silent hello runs nothing and
+  holds nothing; a killed supervisor's unix socket does not block a
+  restart, and a live one is never stolen;
 * `ProcessBackend` traces are bit-identical to `SimulatorBackend`'s,
   its `identity()` keeps the persistent-cache namespace shared across
   the whole backend axis, and `--backend process` summaries are
@@ -23,12 +27,19 @@ Pins down the tentpole guarantees:
 
 from __future__ import annotations
 
+import gc
 import io
 import json
 import os
+import pickle
 import signal
+import socket
+import subprocess
+import sys
 import threading
 import time
+import warnings
+from pathlib import Path
 
 import pytest
 
@@ -36,14 +47,19 @@ from helpers import assert_traces_equal
 
 from repro.core.pipeline import RTSPipeline
 from repro.llm.model import SIMULATOR_VERSION, TransparentLLM
+import repro.runtime.remote as remote_module
 from repro.runtime.remote import (
     CHAOS_DELAY_ENV,
+    HELLO_MAX_BYTES,
     ProcessBackend,
+    SocketTransport,
     WorkerCrashError,
+    connect_address,
+    create_listener,
     read_frame,
     recv_message,
     send_message,
-    worker_main,
+    socket_worker_main,
     write_frame,
 )
 from repro.runtime.service import (
@@ -78,6 +94,15 @@ def mixed_requests(instances) -> list:
     ]
 
 
+def worker_env() -> dict:
+    """The environment a ``python -m repro.runtime.remote`` child needs."""
+    env = dict(os.environ)
+    src_root = str(Path(remote_module.__file__).resolve().parents[2])
+    existing = env.get("PYTHONPATH")
+    env["PYTHONPATH"] = src_root if not existing else f"{src_root}{os.pathsep}{existing}"
+    return env
+
+
 def wait_for_exit(pid: int, timeout_s: float = 10.0) -> bool:
     """True once ``pid`` no longer exists (reaped subprocess)."""
     deadline = time.monotonic() + timeout_s
@@ -103,6 +128,9 @@ def test_frame_roundtrip_including_empty_payload():
     assert read_frame(stream) == b""
     assert read_frame(stream) == b"\x00" * 1000
     assert read_frame(stream) is None  # EOF
+    stream.seek(0)
+    assert read_frame(stream, max_length=4) is None  # 5 bytes announced
+    assert stream.tell() == 4  # only the header was read
 
 
 def test_torn_frame_reads_as_eof():
@@ -125,58 +153,95 @@ def test_message_roundtrip():
 # -- the worker loop, in process ----------------------------------------------
 
 
+def run_worker(messages: list) -> tuple:
+    """Play supervisor to ``socket_worker_main`` over a socketpair.
+
+    The worker runs on a thread; this side reads its hello, sends
+    ``messages``, half-closes, and collects every reply until EOF.
+    Returns ``(hello, replies, exit code)``.
+    """
+    ours, theirs = socket.socketpair()
+    codes: list = []
+    thread = threading.Thread(
+        target=lambda: codes.append(socket_worker_main(theirs, heartbeat_s=0)),
+        daemon=True,
+    )
+    thread.start()
+    transport = SocketTransport(ours)
+    try:
+        hello = transport.recv_hello(timeout_s=10.0)
+        for message in messages:
+            transport.send(message)
+        transport.begin_shutdown()
+        replies = []
+        while (reply := transport.recv()) is not None:
+            replies.append(reply)
+        thread.join(timeout=30)
+    finally:
+        transport.close()
+    return hello, replies, codes[0] if codes else None
+
+
 def test_worker_main_serves_generate_ping_shutdown(table_instances):
     instance = table_instances[0]
-    stdin = io.BytesIO()
-    send_message(stdin, {"op": "init", "llm": TransparentLLM(seed=11)})
-    send_message(
-        stdin, {"op": "generate", "id": 0, "request": GenerationRequest(FREE, instance)}
+    hello, replies, code = run_worker(
+        [
+            {"op": "init", "llm": TransparentLLM(seed=11)},
+            {"op": "generate", "id": 0, "request": GenerationRequest(FREE, instance)},
+            {"op": "ping", "id": 1},
+            {"op": "generate", "id": 2, "request": GenerationRequest(FORCED, instance)},
+            {"op": "shutdown"},
+        ]
     )
-    send_message(stdin, {"op": "ping", "id": 1})
-    send_message(
-        stdin,
-        {"op": "generate", "id": 2, "request": GenerationRequest(FORCED, instance)},
-    )
-    send_message(stdin, {"op": "shutdown"})
-    stdin.seek(0)
-    stdout = io.BytesIO()
-    assert worker_main(stdin, stdout) == 0
-    stdout.seek(0)
-    ready = recv_message(stdout)
+    assert code == 0
+    assert hello["op"] == "hello" and hello["pid"] == os.getpid()
+    assert hello["capabilities"] == {"kinds": [FREE, FORCED]}
+    ready, first, pong, second = replies
     assert ready["op"] == "ready" and ready["pid"] == os.getpid()
     llm = TransparentLLM(seed=11)
-    first = recv_message(stdout)
     assert first["op"] == "result" and first["id"] == 0
     assert_traces_equal(first["trace"], llm.generate(instance))
-    assert recv_message(stdout) == {"op": "pong", "id": 1}
-    second = recv_message(stdout)
+    assert pong == {"op": "pong", "id": 1}
     assert second["op"] == "result" and second["id"] == 2
     assert_traces_equal(second["trace"], llm.teacher_forced_trace(instance))
-    assert recv_message(stdout) is None
 
 
 def test_worker_main_reports_request_errors_and_keeps_serving(table_instances):
     # A request whose instance is None: the worker-side generate raises
     # (kind validation passes — only the simulator call explodes).
-    stdin = io.BytesIO()
-    send_message(stdin, {"op": "init", "llm": TransparentLLM(seed=11)})
-    send_message(
-        stdin, {"op": "generate", "id": 0, "request": GenerationRequest(FREE, None)}
+    _hello, replies, code = run_worker(
+        [
+            {"op": "init", "llm": TransparentLLM(seed=11)},
+            {"op": "generate", "id": 0, "request": GenerationRequest(FREE, None)},
+            {"op": "ping", "id": 1},
+        ]
     )
-    send_message(stdin, {"op": "ping", "id": 1})
-    stdin.seek(0)
-    stdout = io.BytesIO()
-    assert worker_main(stdin, stdout) == 0  # EOF after ping: clean exit
-    stdout.seek(0)
-    assert recv_message(stdout)["op"] == "ready"
-    error = recv_message(stdout)
+    assert code == 0  # EOF after ping: clean exit
+    ready, error, pong = replies
+    assert ready["op"] == "ready"
     assert error["op"] == "error" and error["id"] == 0
     assert "Traceback" in error["error"]
-    assert recv_message(stdout) == {"op": "pong", "id": 1}
+    assert pong == {"op": "pong", "id": 1}
 
 
 def test_worker_main_without_init_exits_nonzero():
-    assert worker_main(io.BytesIO(), io.BytesIO()) == 1
+    hello, replies, code = run_worker([])
+    assert hello is not None and hello["op"] == "hello"
+    assert replies == [] and code == 1
+
+
+def test_repro_worker_without_connect_needs_a_socket_stdin():
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro.runtime.remote"],
+        stdin=subprocess.DEVNULL,
+        capture_output=True,
+        text=True,
+        env=worker_env(),
+        timeout=60,
+    )
+    assert proc.returncode == 1
+    assert "stdin (not a connected socket" in proc.stderr
+    assert "--connect" in proc.stderr
 
 
 # -- byte-identity with the in-process backends -------------------------------
@@ -222,6 +287,19 @@ def test_process_backend_validates_config():
         ProcessBackend(llm, workers=0)
     with pytest.raises(ValueError):
         ProcessBackend(llm, max_restarts=-1)
+
+
+def test_spawned_worker_stdout_is_not_its_frame_channel(tmp_path, table_instances):
+    """A spawned worker talks on its socketpair: whatever it prints lands
+    in its log instead of corrupting the protocol."""
+    llm = TransparentLLM(seed=11)
+    with ProcessBackend(llm, workers=1, log_dir=tmp_path) as backend:
+        (pid,) = backend.ping()
+        assert pid != os.getpid()
+        traces = backend.generate([GenerationRequest(FREE, table_instances[0])])
+        worker = backend._fleet[0]
+        assert worker.proc.stdout is None and worker.proc.stdin is None
+    assert_traces_equal(traces[0], llm.generate(table_instances[0]))
 
 
 # -- crash recovery -----------------------------------------------------------
@@ -407,7 +485,7 @@ def test_unix_close_is_prompt_and_stops_the_acceptor():
     assert not acceptor.is_alive()
 
 
-@pytest.mark.parametrize("transport", ["unix", "tcp"])
+@pytest.mark.parametrize("transport", ["pipe", "unix", "tcp"])
 def test_polite_close_lets_socket_workers_exit_cleanly(transport):
     """A worker's EOF during close() is it exiting, not a crash: no
     SIGKILL, every spawned worker exits with code 0."""
@@ -419,9 +497,11 @@ def test_polite_close_lets_socket_workers_exit_cleanly(transport):
     assert [proc.returncode for proc in procs] == [0, 0]
 
 
-def test_socket_workers_heartbeat():
+@pytest.mark.parametrize("transport", ["pipe", "unix"])
+def test_socket_workers_heartbeat(transport):
+    """Every spawned worker heartbeats, whether or not there is a listener."""
     with ProcessBackend(
-        TransparentLLM(seed=11), workers=1, transport="unix", heartbeat_s=0.05
+        TransparentLLM(seed=11), workers=1, transport=transport, heartbeat_s=0.05
     ) as backend:
         backend.start()
         deadline = time.monotonic() + 5.0
@@ -434,12 +514,6 @@ def test_external_repro_worker_joins_an_accept_only_supervisor(table_instances):
     """workers=0 over TCP: the supervisor serves no local workers and
     waits for a ``repro-worker --connect`` to dial in — generations then
     run on the external worker, byte-identically."""
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import repro.runtime.remote as remote_module
-
     backend = ProcessBackend(TransparentLLM(seed=11), workers=0, transport="tcp")
     proc = None
     try:
@@ -447,15 +521,11 @@ def test_external_repro_worker_joins_an_accept_only_supervisor(table_instances):
         address = backend.address
         assert address is not None and address.startswith("tcp:")
         assert backend.worker_pids() == []  # accept-only: nothing spawned
-        env = dict(os.environ)
-        src_root = str(Path(remote_module.__file__).resolve().parents[2])
-        existing = env.get("PYTHONPATH")
-        env["PYTHONPATH"] = src_root if not existing else f"{src_root}{os.pathsep}{existing}"
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro.runtime.remote", "--connect", address],
             stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL,
-            env=env,
+            env=worker_env(),
         )
         requests = mixed_requests(table_instances[:2])
         traces = backend.generate(requests)
@@ -582,11 +652,6 @@ def test_sigterm_drains_an_external_socket_worker(table_instances):
     """SIGTERM to repro-worker = graceful drain: it announces draining,
     finishes in-flight work, and exits 0 once the supervisor releases it
     — zero requeues. The worker authenticates via $REPRO_FLEET_TOKEN."""
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import repro.runtime.remote as remote_module
     from repro.runtime.service import FLEET_TOKEN_ENV
 
     backend = ProcessBackend(
@@ -596,12 +661,7 @@ def test_sigterm_drains_an_external_socket_worker(table_instances):
     try:
         backend.start()
         address = backend.address
-        env = dict(os.environ)
-        src_root = str(Path(remote_module.__file__).resolve().parents[2])
-        existing = env.get("PYTHONPATH")
-        env["PYTHONPATH"] = (
-            src_root if not existing else f"{src_root}{os.pathsep}{existing}"
-        )
+        env = worker_env()
         env[FLEET_TOKEN_ENV] = "s3cret"  # env fallback for --fleet-token
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro.runtime.remote", "--connect", address],
@@ -633,8 +693,6 @@ def test_sigterm_drains_an_external_socket_worker(table_instances):
 def test_fleet_token_gates_external_hellos():
     """Wrong or missing fleet tokens are rejected at hello with a
     goodbye frame and a closed channel; the right token gets init."""
-    from repro.runtime.remote import SocketTransport, connect_address
-
     backend = ProcessBackend(
         TransparentLLM(seed=11), workers=0, transport="tcp", fleet_token="s3cret"
     )
@@ -644,7 +702,7 @@ def test_fleet_token_gates_external_hellos():
 
         def hello(token) -> SocketTransport:
             transport = SocketTransport(connect_address(address))
-            transport.send(
+            transport.send_hello(
                 {
                     "op": "hello",
                     "pid": os.getpid(),
@@ -674,8 +732,9 @@ def test_fleet_token_gates_external_hellos():
 
 
 def test_fleet_token_does_not_block_supervisor_spawned_workers(table_instances):
-    """Locally-spawned workers authenticate with one-shot spawn tokens,
-    so turning on --fleet-token never breaks the supervisor's own fleet."""
+    """Locally-spawned workers talk over their socketpair and never touch
+    the listener, so turning on --fleet-token never breaks the
+    supervisor's own fleet."""
     with ProcessBackend(
         TransparentLLM(seed=11), workers=1, transport="unix", fleet_token="s3cret"
     ) as backend:
@@ -684,3 +743,114 @@ def test_fleet_token_does_not_block_supervisor_spawned_workers(table_instances):
         assert_traces_equal(
             traces[0], TransparentLLM(seed=11).generate(table_instances[0])
         )
+
+
+# -- handshake and listener hardening -----------------------------------------
+
+
+def closed_by_peer(sock: socket.socket, timeout_s: float = 10.0) -> bool:
+    """True once the supervisor closes ``sock`` without sending anything."""
+    sock.settimeout(timeout_s)
+    return sock.recv(1) == b""
+
+
+def test_pickled_hello_runs_nothing_and_is_dropped(tmp_path):
+    """The hello is read before the fleet token is checked, so it must
+    never be unpickled: a pickle that would create a file runs nothing."""
+    marker = tmp_path / "unpickled"
+
+    class Payload:
+        def __reduce__(self):
+            return (open, (str(marker), "w"))
+
+    payload = pickle.dumps(Payload())
+    backend = ProcessBackend(
+        TransparentLLM(seed=11), workers=0, transport="tcp", fleet_token="s3cret"
+    )
+    try:
+        backend.start()
+        with connect_address(backend.address) as sock:
+            sock.sendall(len(payload).to_bytes(4, "big") + payload)
+            assert closed_by_peer(sock)
+        assert not marker.exists()
+        assert backend.stats.n_alive == 0
+    finally:
+        backend.close()
+
+
+def test_oversized_hello_header_is_dropped_without_reading():
+    """A length header above the hello cap closes the connection at once,
+    long before the (generous) startup timeout, with no payload read."""
+    backend = ProcessBackend(
+        TransparentLLM(seed=11), workers=0, transport="tcp", startup_timeout_s=60.0
+    )
+    try:
+        backend.start()
+        with connect_address(backend.address) as sock:
+            sock.sendall((HELLO_MAX_BYTES + 1).to_bytes(4, "big"))
+            assert closed_by_peer(sock)
+        assert backend.stats.n_alive == 0
+    finally:
+        backend.close()
+
+
+def test_silent_peer_is_closed_after_the_startup_timeout():
+    """A peer that connects and says nothing is closed after
+    startup_timeout_s, and its handshake thread ends with it."""
+    backend = ProcessBackend(
+        TransparentLLM(seed=11), workers=0, transport="tcp", startup_timeout_s=0.3
+    )
+    try:
+        backend.start()
+        socks = [connect_address(backend.address) for _ in range(3)]
+        for sock in socks:
+            assert closed_by_peer(sock)
+            sock.close()
+        deadline = time.monotonic() + 5.0
+        while time.monotonic() < deadline and any(
+            thread.name == "generation-supervisor-handshake"
+            for thread in threading.enumerate()
+        ):
+            time.sleep(0.02)
+        assert not any(
+            thread.name == "generation-supervisor-handshake"
+            for thread in threading.enumerate()
+        )
+    finally:
+        backend.close()
+
+
+def test_create_listener_reclaims_a_stale_unix_socket(tmp_path):
+    """A killed supervisor leaves its socket node behind; nobody listens
+    on it, so a restart on the same address reclaims it."""
+    path = tmp_path / "sup.sock"
+    stale = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    stale.bind(str(path))
+    stale.close()  # closed without unlinking, as after SIGKILL
+    assert path.exists()
+    sock, address = create_listener("unix", f"unix:{path}")
+    try:
+        assert address == f"unix:{path}"
+        with connect_address(address):
+            pass
+    finally:
+        sock.close()
+
+
+def test_create_listener_never_steals_a_live_unix_address(tmp_path):
+    """A live supervisor's address still raises, the failed socket is
+    closed (no ResourceWarning), and the live listener keeps its node."""
+    address = f"unix:{tmp_path / 'sup.sock'}"
+    live, _ = create_listener("unix", address)
+    try:
+        gc.collect()  # earlier tests' garbage must not warn inside the block
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(OSError):
+                create_listener("unix", address)
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+        with connect_address(address):
+            pass  # still reachable: the node was not unlinked
+    finally:
+        live.close()
