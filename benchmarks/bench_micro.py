@@ -132,10 +132,9 @@ def test_bench_rts_link_abstain(benchmark, ctx):
 
 # -- batched evaluation runtime ----------------------------------------------
 #
-# Same workload (link over the dev split), three execution paths. Compare
+# Same workload (link over the dev split), two execution paths. Compare
 # the "batch" group's rows: the batch runner must not be slower than the
-# hand-rolled serial loop, and the threaded pool should win where numpy
-# releases the GIL.
+# hand-rolled serial loop.
 
 
 @pytest.fixture(scope="module")
@@ -158,14 +157,7 @@ def test_bench_batch_serial_loop(benchmark, batch_workload):
 @pytest.mark.benchmark(group="batch")
 def test_bench_batch_runner_serial(benchmark, batch_workload):
     pipe, instances = batch_workload
-    runner = BatchRunner(pipe, workers=1)
-    benchmark(lambda: runner.run_link(instances, mode="abstain"))
-
-
-@pytest.mark.benchmark(group="batch")
-def test_bench_batch_runner_threads(benchmark, batch_workload):
-    pipe, instances = batch_workload
-    runner = BatchRunner(pipe, workers=4, backend="thread")
+    runner = BatchRunner(pipe)
     benchmark(lambda: runner.run_link(instances, mode="abstain"))
 
 

@@ -115,7 +115,7 @@ sweep_smoke() {
   rm -rf "$out"
   mkdir -p "$out"
   local axes=(--benchmarks bird --splits dev --tasks table --modes abstain human
-              --seeds 3 --scale tiny --limit 4 --workers 1)
+              --seeds 3 --scale tiny --limit 4 --gen-workers 1)
   # Same entry point as the installed `repro-sweep` console script.
   sweep() {
     python -c 'import sys; from repro.runtime.cli import main_sweep; sys.exit(main_sweep(sys.argv[1:]))' "$@"
@@ -164,7 +164,7 @@ service_smoke() {
   rm -rf "$out"
   mkdir -p "$out"
   local axes=(--benchmark bird --split dev --task table --mode abstain
-              --scale tiny --limit 4 --workers 2)
+              --scale tiny --limit 4 --gen-workers 2)
   # Same entry points as the installed console scripts.
   run() {
     python -c 'import sys; from repro.runtime.cli import main; sys.exit(main(sys.argv[1:]))' "$@"
@@ -304,7 +304,7 @@ serve_smoke() {
 
   # Offline reference artifacts: the lines repro-serve's records must
   # byte-match for the same (benchmark, example, task, mode).
-  local axes=(--benchmark bird --split dev --mode abstain --scale tiny --workers 2)
+  local axes=(--benchmark bird --split dev --mode abstain --scale tiny --gen-workers 2)
   run "${axes[@]}" --task table --artifact "$out/offline-table.jsonl" \
     --cache-dir "$out/gen-offline" > "$out/offline-table.json"
   run "${axes[@]}" --task column --artifact "$out/offline-column.jsonl" \

@@ -51,16 +51,15 @@ class RTSPipeline:
     # -- training -------------------------------------------------------------
 
     def fit_task(
-        self, task: str, instances: "list[SchemaLinkingInstance]", pool=None
+        self, task: str, instances: "list[SchemaLinkingInstance]"
     ) -> "RTSPipeline":
         """Collect D_branch for ``task`` and train its mBPP.
 
-        An explicitly passed parallel ``pool`` (anything with an
-        order-preserving ``map_ordered``) always wins: per-instance
-        calls fan over it, and a caching LLM still serves each from its
-        service. Otherwise a service-backed LLM gets the whole batch in
-        one call. Training itself is serial; both paths yield
-        bit-identical traces in input order.
+        A service-backed LLM gets every teacher-forced trace as one
+        batch, whose backend decides how it executes (in process, or on
+        worker subprocesses); an LLM without a batch method is traced
+        instance by instance. Training itself is serial; both paths
+        yield bit-identical traces in input order.
         """
         cfg = self.config
         if cfg.train_fraction < 1.0:
@@ -69,14 +68,7 @@ class RTSPipeline:
             idx = rng.permutation(len(instances))[:n_keep]
             instances = [instances[int(i)] for i in sorted(idx)]
         collect = getattr(self.llm, "teacher_forced_traces", None)
-        if pool is not None and not getattr(pool, "is_serial", False):
-            traces = pool.map_ordered(self.llm.teacher_forced_trace, instances)
-        elif callable(collect):
-            traces = collect(instances)
-        elif pool is not None:
-            traces = pool.map_ordered(self.llm.teacher_forced_trace, instances)
-        else:
-            traces = None
+        traces = collect(instances) if callable(collect) else None
         dataset = collect_branch_dataset(self.llm, instances, traces=traces)
         self._branch_datasets[task] = dataset
         self._mbpps[task] = MultiLayerBPP.train(
@@ -96,7 +88,6 @@ class RTSPipeline:
         self,
         benchmark: Benchmark,
         tasks: "tuple[str, ...]" = (TABLE_TASK, COLUMN_TASK),
-        pool=None,
     ) -> "RTSPipeline":
         """Convenience: fit per-task mBPPs from a benchmark's train split."""
         for task in tasks:
@@ -104,7 +95,7 @@ class RTSPipeline:
                 self.instance_for(example, benchmark, task)
                 for example in benchmark.train
             ]
-            self.fit_task(task, instances, pool=pool)
+            self.fit_task(task, instances)
         return self
 
     def identity_parts(self) -> tuple:
@@ -116,7 +107,7 @@ class RTSPipeline:
         """
         return (getattr(self.llm, "seed", None), self.config.seed)
 
-    def batch(self, workers: int = 1, backend: str = "thread", artifact=None):
+    def batch(self, artifact=None):
         """A :class:`~repro.runtime.runner.BatchRunner` over this pipeline.
 
         All bulk evaluation (experiment tables, figures, sweeps, the
@@ -125,7 +116,7 @@ class RTSPipeline:
         """
         from repro.runtime.runner import BatchRunner  # local: avoids cycle
 
-        return BatchRunner(self, workers=workers, backend=backend, artifact=artifact)
+        return BatchRunner(self, artifact=artifact)
 
     @staticmethod
     def instance_for(

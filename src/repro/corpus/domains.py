@@ -34,7 +34,7 @@ class ColumnSpec:
 
     words: tuple[str, ...]
     ctype: ColumnType
-    pool: str
+    value_pool: str
     description: "str | None" = None
     is_primary: bool = False
 
@@ -71,7 +71,7 @@ class DomainSpec:
 def _c(
     words: str,
     ctype: str = "text",
-    pool: str = "word",
+    value_pool: str = "word",
     desc: "str | None" = None,
     pk: bool = False,
 ) -> ColumnSpec:
@@ -79,7 +79,7 @@ def _c(
     return ColumnSpec(
         words=tuple(words.split()),
         ctype=_TYPES[ctype],
-        pool=pool,
+        value_pool=value_pool,
         description=desc,
         is_primary=pk,
     )

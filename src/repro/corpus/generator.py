@@ -129,7 +129,7 @@ class DatabaseFactory:
                     semantic_words=cs.words,
                     description=cs.description,
                     is_primary=cs.is_primary,
-                    value_pool=cs.pool,
+                    value_pool=cs.value_pool,
                 )
                 for cs in tspec.columns
             )

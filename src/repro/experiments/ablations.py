@@ -21,7 +21,7 @@ def _eval_config(ctx: ExperimentContext, config: RTSConfig, task: str = "table")
     instances = [
         RTSPipeline.instance_for(e, bench, task) for e in bench.train
     ]
-    pipe.fit_task(task, instances, pool=ctx.pool)
+    pipe.fit_task(task, instances)
     # The dev-split D_branch is identical across all ablation variants,
     # so it comes from the context's memoized batch collection.
     dataset = ctx.branch_dataset("bird", "dev", task)

@@ -41,7 +41,6 @@ from repro.linking.dataset import BranchDataset
 from repro.linking.instance import SchemaLinkingInstance
 from repro.llm.model import TransparentLLM
 from repro.runtime.cache import CachingLLM, GenerationCache
-from repro.runtime.pool import THREAD, WorkerPool
 from repro.runtime.runner import BatchRunner
 from repro.runtime.service import BackendSpec, GenerationService
 from repro.utils.tabulate import render_table
@@ -114,8 +113,6 @@ class ExperimentContext:
         llm_seed: int = 11,
         rts_seed: int = 3,
         scale: "CorpusScale | None" = None,
-        workers: int = 1,
-        backend: str = THREAD,
         cache: "GenerationCache | None" = None,
         cache_dir: "str | Path | None" = None,
         service: "GenerationService | None" = None,
@@ -125,11 +122,7 @@ class ExperimentContext:
         self.llm_seed = llm_seed
         self.rts_seed = rts_seed
         self.scale = scale or CorpusScale.small()
-        self.workers = workers
-        self.backend = backend
-        if spec is None:
-            spec = BackendSpec(workers=max(1, workers))
-        self.spec = spec
+        self.spec = spec or BackendSpec()
         self._cache = cache
         self._service = service
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
@@ -141,12 +134,11 @@ class ExperimentContext:
         self._link: dict[tuple, list[LinkOutcome]] = {}
         self._joint: dict[tuple, list[JointOutcome]] = {}
         self._llm: "CachingLLM | None" = None
-        self._pool: "WorkerPool | None" = None
 
     @classmethod
-    def tiny(cls, workers: int = 1, **kwargs) -> "ExperimentContext":
+    def tiny(cls, **kwargs) -> "ExperimentContext":
         """A fast context for tests and benchmark timing."""
-        return cls(scale=CorpusScale.tiny(), workers=workers, **kwargs)
+        return cls(scale=CorpusScale.tiny(), **kwargs)
 
     @classmethod
     def default(cls, **kwargs) -> "ExperimentContext":
@@ -172,10 +164,7 @@ class ExperimentContext:
             else:
                 base = TransparentLLM(seed=self.llm_seed)
                 self._service = self.spec.build(
-                    base,
-                    cache=self._cache,
-                    cache_dir=self.cache_dir,
-                    pool=self.pool,
+                    base, cache=self._cache, cache_dir=self.cache_dir
                 )
                 self._llm = CachingLLM(base, service=self._service)
         return self._llm
@@ -201,13 +190,6 @@ class ExperimentContext:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    @property
-    def pool(self) -> WorkerPool:
-        """The shared worker pool (serial unless ``workers > 1``)."""
-        if self._pool is None:
-            self._pool = WorkerPool(workers=self.workers, backend=self.backend)
-        return self._pool
-
     def benchmark(self, name: str) -> Benchmark:
         if name not in self._benchmarks:
             builder = {
@@ -220,16 +202,14 @@ class ExperimentContext:
     def pipeline(self, name: str) -> RTSPipeline:
         if name not in self._pipelines:
             pipe = RTSPipeline(self.llm, RTSConfig(seed=self.rts_seed))
-            pipe.fit_benchmark(self.benchmark(name), pool=self.pool)
+            pipe.fit_benchmark(self.benchmark(name))
             self._pipelines[name] = pipe
         return self._pipelines[name]
 
     def runner(self, name: str) -> BatchRunner:
         """The batch runner every bulk evaluation routes through."""
         if name not in self._runners:
-            self._runners[name] = self.pipeline(name).batch(
-                workers=self.workers, backend=self.backend
-            )
+            self._runners[name] = self.pipeline(name).batch()
         return self._runners[name]
 
     def surrogate(self, name: str) -> SurrogateFilter:

@@ -17,8 +17,8 @@ BEST_REPORTED_EX = 73.01  # CHASE-SQL (Gemini) on the BIRD leaderboard
 
 def run(ctx: ExperimentContext) -> ExperimentResult:
     bench = ctx.benchmark("bird")
-    golden = evaluate_text2sql(bench, "dev", golden_schema, CHESS, seed=21, pool=ctx.pool)
-    full = evaluate_text2sql(bench, "dev", full_schema, CHESS, seed=21, pool=ctx.pool)
+    golden = evaluate_text2sql(bench, "dev", golden_schema, CHESS, seed=21)
+    full = evaluate_text2sql(bench, "dev", full_schema, CHESS, seed=21)
     rows = [
         ["Correct tables + Correct columns", golden.execution_accuracy],
         ["Full tables + Full columns", full.execution_accuracy],

@@ -4,8 +4,8 @@ The experiment tables and figures all reduce to fanning a fitted
 :class:`~repro.core.pipeline.RTSPipeline` out over a benchmark split.
 This package provides the shared substrate for doing that at scale:
 
-* :mod:`repro.runtime.pool` — one `WorkerPool` abstraction over serial,
-  thread-pool and process-pool execution with order-preserving maps;
+* :mod:`repro.runtime.pool` — the serial, order-preserving `WorkerPool`
+  map batch evaluation streams its checkpoints through;
 * :mod:`repro.runtime.cache` — a keyed generation cache so repeated
   ``llm.generate`` / ``teacher_forced_trace`` calls (unassisted
   baselines, joint passes, ablation sweeps) are computed once;
@@ -43,11 +43,14 @@ layer (`GenerationService`, `BackendSpec`, the backends), the stores,
 the runner/sweep orchestration and the record helpers. Backend
 configuration travels only as a ``BackendSpec``.
 
-Every path is deterministic: a batch run with ``workers=4`` produces
-byte-identical aggregate metrics to the serial fallback, a sweep split
-into N shards merges byte-identically to the unsharded run, and the
-``simulator`` and ``process`` generation backends produce byte-identical
-summaries, because all randomness in the library is derived from named
+There is one parallelism axis: examples are evaluated serially in
+process, and generations run in parallel only on the ``process``
+backend (``BackendSpec(kind="process", workers=N)``).
+
+Every path is deterministic: a sweep split into N shards merges
+byte-identically to the unsharded run, and the ``simulator`` and
+``process`` generation backends produce byte-identical summaries at any
+worker count, because all randomness in the library is derived from named
 streams, never from execution order, batching or process boundaries.
 """
 
@@ -64,12 +67,12 @@ from repro.runtime.persist import (
     generation_namespace,
     store_stats,
 )
-from repro.runtime.pool import BACKENDS, PROCESS, SERIAL, THREAD, WorkerPool
 from repro.runtime.remote import ProcessBackend, SupervisorStats, WorkerCrashError
 from repro.runtime.runner import BatchResult, BatchRunner
 from repro.runtime.service import (
     GEN_BACKENDS,
     PIPE_TRANSPORT,
+    PROCESS,
     SIMULATOR,
     TCP_TRANSPORT,
     TRANSPORTS,
@@ -90,7 +93,6 @@ from repro.runtime.sweep import (
 )
 
 __all__ = [
-    "BACKENDS",
     "BackendSpec",
     "BatchResult",
     "BatchRunner",
@@ -106,7 +108,6 @@ __all__ = [
     "PersistentGenerationCache",
     "ProcessBackend",
     "RunArtifact",
-    "SERIAL",
     "SIMULATOR",
     "ShardPlan",
     "SimulatorBackend",
@@ -116,11 +117,9 @@ __all__ = [
     "SweepSpec",
     "SweepUnit",
     "TCP_TRANSPORT",
-    "THREAD",
     "TRANSPORTS",
     "UNIX_TRANSPORT",
     "WorkerCrashError",
-    "WorkerPool",
     "generation_namespace",
     "instance_key",
     "link_record",

@@ -2,18 +2,20 @@
 
 Examples
 --------
-Link-level sweep with four threads, streaming a resumable artifact; the
-``--backend`` axis picks the generation backend (``simulator`` for
-direct in-process calls, ``process`` for crash-isolated worker
-subprocesses — byte-identical summaries whichever is chosen), and
-``--cache-dir`` (defaulting to ``$REPRO_CACHE_DIR``) shares the
-persistent generation store with sweeps and the table/figure drivers::
+Link-level sweep streaming a resumable artifact; the ``--backend`` axis
+picks the generation backend (``simulator`` for direct in-process calls,
+``process`` for ``--gen-workers`` crash-isolated worker subprocesses —
+byte-identical summaries whichever is chosen), and ``--cache-dir``
+(defaulting to ``$REPRO_CACHE_DIR``) shares the persistent generation
+store with sweeps and the table/figure drivers. Examples are evaluated
+serially in process; the process backend is the one way to run
+generations in parallel::
 
     repro-run --benchmark bird --split dev --task table --mode abstain \
-        --workers 4 --artifact out/bird-table.jsonl
+        --artifact out/bird-table.jsonl
 
     repro-run --benchmark bird --split dev --task table --mode abstain \
-        --workers 4 --backend process --worker-log-dir out/worker-logs
+        --backend process --gen-workers 4 --worker-log-dir out/worker-logs
 
 Joint table→column sweep with the expert human in the loop::
 
@@ -67,7 +69,6 @@ from repro.core.config import ABSTAIN, HUMAN, MITIGATION_MODES, SURROGATE
 from repro.corpus.generator import CorpusScale
 from repro.experiments.common import ExperimentContext
 from repro.runtime.artifacts import strict_jsonable
-from repro.runtime.pool import BACKENDS, THREAD, default_workers
 from repro.runtime.service import BackendSpec
 from repro.runtime.sweep import (
     BENCHMARKS,
@@ -106,6 +107,11 @@ def nonnegative_float(value: str) -> float:
     return parsed
 
 
+def default_workers() -> int:
+    """``repro-run``'s ``--gen-workers`` default: one per spare CPU."""
+    return max(1, (os.cpu_count() or 2) - 1)
+
+
 def _default_cache_dir() -> "str | None":
     """``--cache-dir`` default: the driver-shared ``REPRO_CACHE_DIR``."""
     return os.environ.get("REPRO_CACHE_DIR") or None
@@ -113,15 +119,15 @@ def _default_cache_dir() -> "str | None":
 
 RUN_EPILOG = """\
 examples:
-  # four-thread link sweep, resumable artifact, shared generation store
+  # link sweep, resumable artifact, shared generation store
   repro-run --benchmark bird --split dev --task table --mode abstain \\
-      --workers 4 --artifact out/bird-table.jsonl --cache-dir out/gen
+      --artifact out/bird-table.jsonl --cache-dir out/gen
 
-  # the same unit on crash-isolated worker processes over unix-domain
-  # sockets (byte-identical); external `repro-worker --connect <address>`
-  # processes may join the fleet
+  # the same unit with generations on four crash-isolated worker
+  # processes over unix-domain sockets (byte-identical); external
+  # `repro-worker --connect <address>` processes may join the fleet
   repro-run --benchmark bird --split dev --task table --mode abstain \\
-      --workers 4 --backend process --transport unix \\
+      --backend process --gen-workers 4 --transport unix \\
       --worker-log-dir out/worker-logs
 
 The --backend axis never changes a summary byte: both backends are
@@ -156,14 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the joint table->column pipeline instead of one task",
     )
     parser.add_argument("--mode", choices=sorted(MITIGATION_MODES), default=ABSTAIN)
-    parser.add_argument("--workers", type=positive_int, default=default_workers())
-    parser.add_argument(
-        "--pool",
-        choices=BACKENDS,
-        default=THREAD,
-        help="worker-pool execution backend for per-example evaluation",
-    )
-    BackendSpec.add_arguments(parser)
+    BackendSpec.add_arguments(parser, defaults=BackendSpec(workers=default_workers()))
     parser.add_argument(
         "--cache-dir",
         default=_default_cache_dir(),
@@ -191,17 +190,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: "list[str] | None" = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    spec = BackendSpec.from_args(args, parser)
     scale = CorpusScale.tiny() if args.scale == "tiny" else CorpusScale.small()
     ctx = ExperimentContext(
         corpus_seed=args.corpus_seed,
         llm_seed=args.llm_seed,
         rts_seed=args.rts_seed,
         scale=scale,
-        workers=args.workers,
-        backend=args.pool,
         cache_dir=args.cache_dir,
-        spec=BackendSpec.from_args(args, workers=max(1, args.workers)),
+        spec=spec,
     )
     with ctx:
         benchmark = ctx.benchmark(args.benchmark)
@@ -234,8 +233,6 @@ def main(argv: "list[str] | None" = None) -> int:
             "split": args.split,
             "task": "joint" if args.joint else args.task,
             "mode": args.mode,
-            "workers": runner.pool.workers,
-            "pool": runner.pool.backend,
             "backend": args.backend,
             "cache_dir": args.cache_dir,
             "n_resumed": result.n_resumed,
@@ -301,7 +298,7 @@ examples:
       --shard-index 0 --shard-count 2 --out out/sweep --cache-dir out/gen
   repro-sweep run --benchmarks bird spider --modes abstain human \\
       --shard-index 1 --shard-count 2 --out out/sweep --cache-dir out/gen \\
-      --backend process --workers 4 --worker-log-dir out/worker-logs
+      --backend process --gen-workers 4 --worker-log-dir out/worker-logs
   repro-sweep merge --out out/sweep
 
 Shards may mix --backend values freely (simulator, process):
@@ -338,14 +335,7 @@ def build_sweep_parser() -> argparse.ArgumentParser:
         help="persistent generation cache shared across shards and re-runs "
         "(default: $REPRO_CACHE_DIR)",
     )
-    run.add_argument("--workers", type=positive_int, default=1)
-    run.add_argument(
-        "--pool",
-        choices=BACKENDS,
-        default=THREAD,
-        help="worker-pool execution backend for per-example evaluation",
-    )
-    BackendSpec.add_arguments(run)
+    BackendSpec.add_arguments(run, defaults=BackendSpec(workers=1))
     run.add_argument(
         "--progress",
         action="store_true",
@@ -400,9 +390,7 @@ def main_sweep(argv: "list[str] | None" = None) -> int:
         spec,
         args.out,
         cache_dir=args.cache_dir,
-        workers=args.workers,
-        pool=args.pool,
-        backend_spec=BackendSpec.from_args(args, workers=max(1, args.workers)),
+        backend_spec=BackendSpec.from_args(args, parser),
         progress=progress_line if args.progress else None,
     ) as runner:
         manifest = runner.run_shard(args.shard_index, args.shard_count)

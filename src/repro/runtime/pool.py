@@ -1,90 +1,31 @@
-"""Worker-pool abstraction for batched evaluation.
+"""The serial, order-preserving map batch evaluation streams through.
 
-One interface — :meth:`WorkerPool.map_ordered` — over three execution
-backends:
-
-* ``serial``: a deterministic in-process loop (the fallback, and the
-  reference semantics the parallel backends must reproduce);
-* ``thread``: ``concurrent.futures.ThreadPoolExecutor`` — the default
-  for the simulated LLM, whose hot paths are numpy-bound and release
-  the GIL;
-* ``process``: ``concurrent.futures.ProcessPoolExecutor`` — for
-  CPU-bound workloads; callables and items must be picklable, and
-  in-process caches do not propagate back to the parent.
-
-Results always come back in input order, so aggregate metrics computed
-over a mapped list are independent of completion order — the property
-the serial-vs-parallel determinism tests pin down.
+Per-example evaluation runs in process, one example at a time; all
+generation parallelism comes from the backend
+(``BackendSpec(kind="process", workers=N)``). :class:`WorkerPool` is
+therefore no executor. It exists as a class only because
+``perfbench/tracer.py`` wraps :meth:`WorkerPool.map_ordered` when it
+installs its spans; once that hook is gone, the loop folds into
+:class:`~repro.runtime.runner.BatchRunner`, whose ``_run_keyed``
+consumes :meth:`WorkerPool.imap_ordered` lazily so each record is
+checkpointed as soon as it is computed.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator
 
-__all__ = ["SERIAL", "THREAD", "PROCESS", "BACKENDS", "WorkerPool", "default_workers"]
-
-SERIAL = "serial"
-THREAD = "thread"
-PROCESS = "process"
-BACKENDS = (SERIAL, THREAD, PROCESS)
-
-
-def default_workers() -> int:
-    """A sensible worker count for this machine (at least 1)."""
-    return max(1, (os.cpu_count() or 2) - 1)
+__all__ = ["WorkerPool"]
 
 
 class WorkerPool:
-    """Order-preserving map over a configurable execution backend.
+    """Order-preserving serial map over work items."""
 
-    ``workers <= 1`` (or ``backend="serial"``) always resolves to the
-    deterministic serial loop; parallel backends are an opt-in.
-    """
-
-    def __init__(self, workers: int = 1, backend: str = THREAD):
-        if backend not in BACKENDS:
-            raise ValueError(f"unknown pool backend {backend!r}; pick from {BACKENDS}")
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        self.workers = int(workers)
-        self.backend = SERIAL if self.workers == 1 else backend
-
-    @property
-    def is_serial(self) -> bool:
-        return self.backend == SERIAL
-
-    def map_ordered(self, fn: Callable, items: "Sequence | Iterable") -> list:
+    def map_ordered(self, fn: Callable, items: Iterable) -> list:
         """Apply ``fn`` to every item, returning results in input order."""
         return list(self.imap_ordered(fn, items))
 
-    def imap_ordered(self, fn: Callable, items: "Sequence | Iterable"):
-        """Lazily yield results in input order as they become available.
-
-        Parallel backends keep computing ahead while the consumer
-        processes earlier results, so a consumer that checkpoints each
-        result to disk streams checkpoints instead of waiting for the
-        whole batch. The process backend chunks work items so the
-        (potentially large) pickled ``fn`` ships once per chunk rather
-        than once per item.
-        """
-        items = list(items)
-        if not items:
-            return
-        if self.is_serial:
-            for item in items:
-                yield fn(item)
-            return
-        if self.backend == THREAD:
-            with ThreadPoolExecutor(max_workers=self.workers) as executor:
-                # Executor.map preserves submission order in its result
-                # iterator regardless of completion order.
-                yield from executor.map(fn, items)
-            return
-        chunksize = max(1, len(items) // (self.workers * 4))
-        with ProcessPoolExecutor(max_workers=self.workers) as executor:
-            yield from executor.map(fn, items, chunksize=chunksize)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"WorkerPool(workers={self.workers}, backend={self.backend!r})"
+    def imap_ordered(self, fn: Callable, items: Iterable) -> Iterator:
+        """Lazily yield ``fn(item)`` for every item, in input order."""
+        for item in items:
+            yield fn(item)

@@ -123,6 +123,7 @@ from repro.runtime.service import (
     UNIX_TRANSPORT,
     DeadlineExceeded,
     effective_timeout,
+    parse_address,
     simulator_identity,
 )
 
@@ -218,21 +219,6 @@ def recv_message(stream) -> "dict | None":
 
 
 # -- addresses ----------------------------------------------------------------
-
-
-def parse_address(address: str) -> tuple:
-    """``"unix:/path"`` → ``("unix", path)``; ``"tcp:host:port"`` →
-    ``("tcp", (host, port))``."""
-    kind, _, rest = address.partition(":")
-    if kind == UNIX_TRANSPORT and rest:
-        return (UNIX_TRANSPORT, rest)
-    if kind == TCP_TRANSPORT and rest:
-        host, _, port = rest.rpartition(":")
-        if host and port.isdigit():
-            return (TCP_TRANSPORT, (host, int(port)))
-    raise ValueError(
-        f"bad worker address {address!r}; expected unix:/path or tcp:host:port"
-    )
 
 
 def connect_address(address: str) -> socket.socket:

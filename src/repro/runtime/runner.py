@@ -1,14 +1,16 @@
 """The batched evaluation runner.
 
-`BatchRunner` fans a fitted :class:`~repro.core.pipeline.RTSPipeline`
-out over a benchmark split through a :class:`~repro.runtime.pool.WorkerPool`,
-streams per-example records to a :class:`~repro.runtime.artifacts.RunArtifact`
+`BatchRunner` evaluates a fitted :class:`~repro.core.pipeline.RTSPipeline`
+over a benchmark split, one example at a time, streams per-example
+records to a :class:`~repro.runtime.artifacts.RunArtifact`
 (checkpoint/resume), and aggregates TAR / FAR / abstention summaries.
+Generation parallelism is the backend's business
+(``BackendSpec(kind="process", workers=N)``), not the runner's.
 
 Determinism contract: every per-example evaluation is a pure function of
 (pipeline seeds, instance), and results are always assembled in input
-order, so the aggregate metrics are byte-identical across ``workers=1``
-and ``workers=N`` — and across fresh and resumed runs.
+order, so the aggregate metrics are byte-identical across generation
+backends and worker counts — and across fresh and resumed runs.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from repro.runtime.artifacts import (
     summarize_link,
 )
 from repro.runtime.cache import CacheStats, instance_key
-from repro.runtime.pool import THREAD, WorkerPool
+from repro.runtime.pool import WorkerPool
 from repro.utils.rng import stable_hash
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -40,9 +42,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 __all__ = ["BatchResult", "BatchRunner"]
 
 
-# Worker functions live at module level so the process backend can
-# pickle them (bound methods of a runner holding an open artifact
-# handle would not survive the trip).
+# Per-example functions live at module level and are looked up at call
+# time, so ``perfbench/launch.py`` can wrap them for per-example timings.
 
 
 def _link_one(pipeline, mode, surrogate, human, instance) -> LinkOutcome:
@@ -53,10 +54,6 @@ def _joint_one(pipeline, benchmark, mode, surrogate, human, example) -> JointOut
     return pipeline.link_joint(
         example, benchmark, mode=mode, surrogate=surrogate, human=human
     )
-
-
-def _trace_one(llm, instance):
-    return llm.teacher_forced_trace(instance)
 
 
 @dataclass
@@ -78,15 +75,9 @@ class BatchResult:
 class BatchRunner:
     """Bulk evaluation of a fitted RTS pipeline over many examples."""
 
-    def __init__(
-        self,
-        pipeline,
-        workers: int = 1,
-        backend: str = THREAD,
-        artifact: "str | None" = None,
-    ):
+    def __init__(self, pipeline, artifact: "str | None" = None):
         self.pipeline = pipeline
-        self.pool = WorkerPool(workers=workers, backend=backend)
+        self.pool = WorkerPool()
         self.artifact_path = artifact
 
     # -- plumbing ------------------------------------------------------------
@@ -100,10 +91,6 @@ class BatchRunner:
         """Generation-cache stats when the pipeline's LLM is caching."""
         stats = getattr(self.llm, "stats", None)
         return stats if isinstance(stats, CacheStats) else None
-
-    def map(self, fn: Callable, items) -> list:
-        """Order-preserving map through this runner's worker pool."""
-        return self.pool.map_ordered(fn, items)
 
     def fingerprint(self, mode: str, surrogate=None, human=None) -> str:
         """The public run fingerprint (artifact keys are
@@ -159,8 +146,7 @@ class BatchRunner:
         records = dict(resumed)
         try:
             # imap_ordered streams: each record is appended (checkpointed)
-            # as soon as its evaluation — and every earlier one — is done,
-            # while the pool keeps computing ahead.
+            # as soon as its evaluation is done.
             new_outcomes = self.pool.imap_ordered(
                 evaluate, [item for _, item in pending]
             )
@@ -241,23 +227,23 @@ class BatchRunner:
 
     # -- trace collection ----------------------------------------------------
 
-    def teacher_forced_traces(self, instances: "list[SchemaLinkingInstance]") -> list:
-        """Teacher-forced traces for ``instances``, pooled or batched.
+    def teacher_forced_traces(
+        self, instances: "list[SchemaLinkingInstance]"
+    ) -> "list | None":
+        """Teacher-forced traces for ``instances`` as one service batch.
 
-        A parallel runner pool fans per-instance calls (a caching LLM
-        still serves each from its service); otherwise a service-backed
-        LLM gets the whole batch in one call, whose backend decides how
-        to execute — in process, or on worker subprocesses. Both paths
-        yield bit-identical traces in input order.
+        The service's backend decides how the batch executes — in
+        process, or on worker subprocesses — with bit-identical traces
+        in input order. ``None`` for an LLM without a batch method
+        (:func:`~repro.linking.dataset.collect_branch_dataset` then
+        traces each instance itself).
         """
         collect = getattr(self.llm, "teacher_forced_traces", None)
-        if self.pool.is_serial and callable(collect):
-            return collect(instances)
-        return self.pool.map_ordered(partial(_trace_one, self.llm), instances)
+        return collect(instances) if callable(collect) else None
 
     def branch_dataset(
         self, instances: "list[SchemaLinkingInstance]"
     ) -> BranchDataset:
-        """Collect D_branch with trace generation fanned over the pool."""
+        """Collect D_branch with trace generation as one service batch."""
         traces = self.teacher_forced_traces(instances)
         return collect_branch_dataset(self.llm, instances, traces=traces)

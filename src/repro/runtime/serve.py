@@ -32,13 +32,13 @@ The full schemas live in ``docs/http-api.md``; the runbook in
 ``docs/operations.md``.
 
 The server is stdlib ``http.server`` (``ThreadingHTTPServer``) — no new
-dependencies. Concurrency is safe because ``RTSPipeline.link`` already
-runs under thread pools offline, and determinism makes answer bytes
-independent of request interleaving. With ``--backend process
---transport unix|tcp`` the generations execute on socket workers that
-may live on other machines (``repro-worker --connect`` joins the fleet
-at any time); a worker SIGKILLed mid-request delays the response but
-never changes or loses it.
+dependencies. Concurrency is safe because request handling is read-only
+apart from the thread-safe generation cache (see :class:`ServeApp`), and
+determinism makes answer bytes independent of request interleaving.
+With ``--backend process --transport unix|tcp`` the generations execute
+on socket workers that may live on other machines (``repro-worker
+--connect`` joins the fleet at any time); a worker SIGKILLed
+mid-request delays the response but never changes or loses it.
 """
 
 from __future__ import annotations
@@ -253,26 +253,19 @@ class ServeApp:
         the ready line only prints once all of this has succeeded.
         Warm-up traffic is exempt from the request deadline: a tight
         ``--request-timeout-s`` is an SLO for queries, not a cap on the
-        one-time fit (the backend knob is restored before serving).
+        one-time fit, which runs on this thread inside
+        ``deadline_scope(None)``.
         """
-        backend = self.backend
-        saved = getattr(backend, "request_timeout_s", None)
-        if saved is not None:
-            backend.request_timeout_s = None
-        try:
-            with deadline_scope(None):
-                for name in self.benchmarks:
-                    bench = self.ctx.benchmark(name)
-                    self.ctx.pipeline(name)
-                    for split_name in ("train", "dev", "test"):
-                        for example in bench.split(split_name):
-                            with self._counter_lock:
-                                self._by_question.setdefault(
-                                    (name, example.question), example.example_id
-                                )
-        finally:
-            if saved is not None:
-                backend.request_timeout_s = saved
+        with deadline_scope(None):
+            for name in self.benchmarks:
+                bench = self.ctx.benchmark(name)
+                self.ctx.pipeline(name)
+                for split_name in ("train", "dev", "test"):
+                    for example in bench.split(split_name):
+                        with self._counter_lock:
+                            self._by_question.setdefault(
+                                (name, example.question), example.example_id
+                            )
 
     @property
     def backend(self):
@@ -674,13 +667,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
         default="small",
         help="synthetic corpus scale (tiny is the test/CI size)",
     )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=2,
-        help="default worker count for the generation backend "
-        "(--gen-workers overrides)",
-    )
     BackendSpec.add_arguments(parser, defaults=BackendSpec(workers=2))
     parser.add_argument(
         "--cache-dir",
@@ -708,8 +694,9 @@ def build_serve_parser() -> argparse.ArgumentParser:
 
 
 def main_serve(argv: "list[str] | None" = None) -> int:
-    args = build_serve_parser().parse_args(argv)
-    spec = BackendSpec.from_args(args, workers=args.workers)
+    parser = build_serve_parser()
+    args = parser.parse_args(argv)
+    spec = BackendSpec.from_args(args, parser)
     cache_dir = args.cache_dir or os.environ.get("REPRO_CACHE_DIR") or None
     scale = CorpusScale.tiny() if args.scale == "tiny" else CorpusScale.small()
     ctx = ExperimentContext(
@@ -717,7 +704,6 @@ def main_serve(argv: "list[str] | None" = None) -> int:
         llm_seed=args.llm_seed,
         rts_seed=args.rts_seed,
         scale=scale,
-        workers=max(1, args.workers),
         cache_dir=cache_dir,
         spec=spec,
     )

@@ -29,9 +29,8 @@ the seam between *what* to generate and *how* it is executed and cached:
     in every ``*.summary.json``.
 
 One implementation ships here: :class:`SimulatorBackend`, which wraps a
-``TransparentLLM`` and optionally fans a batch over a
-:class:`~repro.runtime.pool.WorkerPool`. This is byte-identical to the
-pre-service direct calls.
+``TransparentLLM`` and runs a batch serially in process. This is
+byte-identical to the pre-service direct calls.
 
 The other lives in :mod:`repro.runtime.remote` (imported lazily to keep
 this module subprocess-free): :class:`~repro.runtime.remote.
@@ -56,7 +55,7 @@ import contextlib
 import contextvars
 import os
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Protocol, Sequence, runtime_checkable
 
 from repro.llm.model import SIMULATOR_VERSION, GenerationTrace, TransparentLLM
@@ -68,7 +67,6 @@ from repro.runtime.persist import (
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.linking.instance import SchemaLinkingInstance
-    from repro.runtime.pool import WorkerPool
 
 __all__ = [
     "FREE",
@@ -88,6 +86,7 @@ __all__ = [
     "DeadlineExceeded",
     "deadline_scope",
     "effective_timeout",
+    "parse_address",
     "GenerationRequest",
     "GenerationBackend",
     "SimulatorBackend",
@@ -160,8 +159,7 @@ def deadline_scope(timeout_s: "float | None"):
     ``generate`` call made inside the block on the current thread —
     ``repro-serve`` uses it for the per-request ``timeout_s`` field.
     ``deadline_scope(None)`` suspends deadlines entirely (warm-up
-    traffic). Contextvars do not propagate into worker-pool threads, so
-    fan-out code must rely on the backend default instead.
+    traffic).
     """
     if timeout_s is not None and not float(timeout_s) > 0:
         raise ValueError("deadline_scope timeout_s must be > 0 (or None)")
@@ -191,6 +189,21 @@ def simulator_identity(llm: "TransparentLLM") -> tuple:
     change (e.g. ``hidden-v2``) must land in a fresh namespace.
     """
     return (getattr(llm, "version", SIMULATOR_VERSION), llm.config, llm.seed)
+
+
+def parse_address(address: str) -> tuple:
+    """``"unix:/path"`` → ``("unix", path)``; ``"tcp:host:port"`` →
+    ``("tcp", (host, port))``."""
+    kind, _, rest = address.partition(":")
+    if kind == UNIX_TRANSPORT and rest:
+        return (UNIX_TRANSPORT, rest)
+    if kind == TCP_TRANSPORT and rest:
+        host, _, port = rest.rpartition(":")
+        if host and port.isdigit():
+            return (TCP_TRANSPORT, (host, int(port)))
+    raise ValueError(
+        f"bad worker address {address!r}; expected unix:/path or tcp:host:port"
+    )
 
 
 def _nonnegative_int(value: str) -> int:
@@ -245,12 +258,7 @@ class BackendSpec:
                 f"unknown generation backend {self.kind!r}; pick from {GEN_BACKENDS}"
             )
         if self.address is not None:
-            prefix = self.address.partition(":")[0]
-            if prefix not in (UNIX_TRANSPORT, TCP_TRANSPORT):
-                raise ValueError(
-                    f"bad worker address {self.address!r}; "
-                    "expected unix:/path or tcp:host:port"
-                )
+            prefix = parse_address(self.address)[0]
             # An address names its transport; let it win over the default.
             if self.transport != prefix:
                 object.__setattr__(self, "transport", prefix)
@@ -297,10 +305,9 @@ class BackendSpec:
         group.add_argument(
             "--gen-workers",
             type=_nonnegative_int,
-            default=None,
+            default=spec.workers,
             help="process backend: worker count (0 = accept-only socket "
-            "supervisor; default: follow "
-            f"--workers, else {spec.workers})",
+            f"supervisor; default: {spec.workers})",
         )
         group.add_argument(
             "--max-restarts",
@@ -347,32 +354,31 @@ class BackendSpec:
 
     @classmethod
     def from_args(
-        cls, args: argparse.Namespace, workers: "int | None" = None
+        cls,
+        args: argparse.Namespace,
+        parser: "argparse.ArgumentParser | None" = None,
     ) -> "BackendSpec":
         """The spec one parsed CLI invocation describes.
 
-        Backend workers follow ``--gen-workers`` when given, then the
-        ``workers`` override (a CLI whose ``--workers`` means backend
-        workers passes it here), then the namespace's ``workers``
-        attribute, then the dataclass default.
+        A flag combination no spec allows raises ``ValueError``, or,
+        given the ``parser`` that parsed ``args``, exits through
+        ``parser.error`` as a usage error.
         """
-        gen_workers = getattr(args, "gen_workers", None)
-        if gen_workers is None:
-            gen_workers = workers
-        if gen_workers is None:
-            gen_workers = getattr(args, "workers", None)
-        spec = cls(
-            kind=getattr(args, "backend", SIMULATOR),
-            max_restarts=getattr(args, "max_restarts", None),
-            worker_log_dir=getattr(args, "worker_log_dir", None),
-            transport=getattr(args, "transport", PIPE_TRANSPORT),
-            address=getattr(args, "address", None),
-            request_timeout_s=getattr(args, "request_timeout_s", None),
-            fleet_token=getattr(args, "fleet_token", None),
-        )
-        if gen_workers is not None:
-            spec = replace(spec, workers=int(gen_workers))
-        return spec
+        try:
+            return cls(
+                kind=getattr(args, "backend", SIMULATOR),
+                workers=getattr(args, "gen_workers", cls.workers),
+                max_restarts=getattr(args, "max_restarts", None),
+                worker_log_dir=getattr(args, "worker_log_dir", None),
+                transport=getattr(args, "transport", PIPE_TRANSPORT),
+                address=getattr(args, "address", None),
+                request_timeout_s=getattr(args, "request_timeout_s", None),
+                fleet_token=getattr(args, "fleet_token", None),
+            )
+        except ValueError as exc:
+            if parser is None:
+                raise
+            parser.error(str(exc))
 
     def to_args(self) -> "list[str]":
         """The argv fragment reproducing this spec (from_args inverse)."""
@@ -402,7 +408,7 @@ class BackendSpec:
         """A wired :class:`GenerationService` for ``llm`` (see its build)."""
         return GenerationService.build(llm, spec=self, **kwargs)
 
-    def make_backend(self, llm: TransparentLLM, pool=None):
+    def make_backend(self, llm: TransparentLLM):
         """Just the backend this spec describes (no cache tiers)."""
         if self.kind == PROCESS:
             # Lazy import: remote builds on this module's request types.
@@ -424,7 +430,7 @@ class BackendSpec:
                 fleet_token=token,
                 **extra,
             )
-        return SimulatorBackend(llm, pool=pool)
+        return SimulatorBackend(llm)
 
 
 @dataclass(frozen=True)
@@ -461,16 +467,13 @@ class GenerationBackend(Protocol):
 
 
 class SimulatorBackend:
-    """The reference backend: direct calls into a ``TransparentLLM``.
+    """The reference backend: direct, serial calls into a
+    ``TransparentLLM``. Parallel generation is the ``process`` backend's
+    job; each trace is a pure function of its request alone, so both
+    are byte-identical."""
 
-    With ``pool`` (a :class:`~repro.runtime.pool.WorkerPool`), batches
-    fan out over threads — still order-preserving and byte-identical,
-    because each trace is a pure function of its request alone.
-    """
-
-    def __init__(self, llm: TransparentLLM, pool: "WorkerPool | None" = None):
+    def __init__(self, llm: TransparentLLM):
         self.llm = llm
-        self.pool = pool
 
     @property
     def base_llm(self) -> TransparentLLM:
@@ -487,19 +490,7 @@ class SimulatorBackend:
     def generate(
         self, requests: "Sequence[GenerationRequest]"
     ) -> "list[GenerationTrace]":
-        requests = list(requests)
-        if self.pool is not None and not self.pool.is_serial and len(requests) > 1:
-            return self.pool.map_ordered(self._one, requests)
         return [self._one(request) for request in requests]
-
-    # Shipped to worker processes as part of a pickled pipeline; the
-    # pool is reconstructed from its (workers, backend) config.
-    def __getstate__(self) -> dict:
-        return {"llm": self.llm, "pool": self.pool}
-
-    def __setstate__(self, state: dict) -> None:
-        self.llm = state["llm"]
-        self.pool = state["pool"]
 
 
 # -- the service --------------------------------------------------------------
@@ -552,7 +543,6 @@ class GenerationService:
         spec: "BackendSpec | None" = None,
         cache: "GenerationCache | None" = None,
         cache_dir=None,
-        pool: "WorkerPool | None" = None,
         use_index: bool = True,
     ) -> "GenerationService":
         """Wire a service for ``llm``: backend choice plus cache tiers.
@@ -567,7 +557,7 @@ class GenerationService:
         """
         if spec is None:
             spec = BackendSpec()
-        built = spec.make_backend(llm, pool=pool)
+        built = spec.make_backend(llm)
         if cache is None and cache_dir is not None:
             cache = PersistentGenerationCache(
                 cache_dir,

@@ -43,7 +43,6 @@ from repro.core.config import ABSTAIN, HUMAN, MITIGATION_MODES, SURROGATE
 from repro.corpus.generator import CorpusScale
 from repro.runtime.artifacts import strict_jsonable
 from repro.runtime.cache import CacheStats, GenerationCache
-from repro.runtime.pool import THREAD
 from repro.runtime.service import BackendSpec
 
 __all__ = [
@@ -191,10 +190,10 @@ class SweepRunner:
     per RTS seed (pipelines must be refit per seed), but all contexts
     share a single :class:`~repro.runtime.service.GenerationService`
     instance — one backend (``backend_spec.kind`` picks ``simulator``
-    or ``process`` worker subprocesses; the default is
-    ``BackendSpec(workers=max(1, workers))``) over one cache tier
-    stack: with ``cache_dir`` set, a :class:`PersistentGenerationCache`
-    namespaced by the spec's LLM identity, so separate shard processes
+    or ``process`` worker subprocesses; the default is the in-process
+    simulator) over one cache tier stack: with ``cache_dir`` set, a
+    :class:`PersistentGenerationCache` namespaced by the spec's LLM
+    identity, so separate shard processes
     reuse each other's generations through the filesystem.
 
     ``progress`` (a callable taking one formatted line) streams per-unit
@@ -208,19 +207,13 @@ class SweepRunner:
         spec: SweepSpec,
         out_dir: "str | Path",
         cache_dir: "str | Path | None" = None,
-        workers: int = 1,
-        pool: str = THREAD,
         progress=None,
         backend_spec: "BackendSpec | None" = None,
     ):
         self.spec = spec
         self.out_dir = Path(out_dir)
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
-        self.workers = workers
-        self.pool = pool
-        if backend_spec is None:
-            backend_spec = BackendSpec(workers=max(1, workers))
-        self.backend_spec = backend_spec
+        self.backend_spec = backend_spec or BackendSpec()
         self.progress = progress
         self._contexts: dict = {}
         self._cache: "GenerationCache | None" = None
@@ -247,8 +240,6 @@ class SweepRunner:
                 llm_seed=self.spec.llm_seed,
                 rts_seed=seed,
                 scale=SCALES[self.spec.scale](),
-                workers=self.workers,
-                backend=self.pool,
                 cache_dir=self.cache_dir,
                 spec=self.backend_spec,
                 service=self._service,
@@ -384,21 +375,13 @@ def run_sweep(
     spec: SweepSpec,
     out_dir: "str | Path",
     cache_dir: "str | Path | None" = None,
-    workers: int = 1,
-    pool: str = THREAD,
     shard_count: int = 1,
 ) -> dict:
     """Run every shard of a sweep in this process, then merge."""
     for shard_index in range(shard_count):
         # One runner per shard: cold contexts, exactly like separate
         # processes would run it (the persistent cache still warms up).
-        with SweepRunner(
-            spec,
-            out_dir,
-            cache_dir=cache_dir,
-            workers=workers,
-            pool=pool,
-        ) as runner:
+        with SweepRunner(spec, out_dir, cache_dir=cache_dir) as runner:
             runner.run_shard(shard_index, shard_count)
     return merge_sweep(out_dir)
 

@@ -57,11 +57,6 @@ def rts_schema_provider(
     return provide
 
 
-def _generate_one(generator: SqlGenerator, work: "tuple[Example, Database]") -> str:
-    example, provided = work
-    return generator.generate(example, provided)
-
-
 def evaluate_text2sql(
     benchmark: Benchmark,
     split: str,
@@ -69,31 +64,22 @@ def evaluate_text2sql(
     profile: ModelProfile,
     seed: int = 0,
     limit: "int | None" = None,
-    pool=None,
 ) -> ExecutionReport:
     """Generate SQL for every example of a split and measure EX.
 
-    ``pool`` optionally fans generation out over a
-    :class:`~repro.runtime.pool.WorkerPool` (generation is deterministic
-    per example, so results are order-independent); SQL execution stays
-    serial because sqlite connections are not shareable across threads.
+    Generation and execution run serially in process. Each query is a
+    pure function of (seed, profile, example), so results never depend
+    on evaluation order.
     """
     generator = SqlGenerator(profile, seed=seed)
     evaluator = ExecutionEvaluator(benchmark.databases)
     examples = list(benchmark.split(split))
     if limit is not None:
         examples = examples[:limit]
-    work = [
-        (example, provider(example, benchmark.database(example.db_id).schema))
-        for example in examples
-    ]
-    if pool is not None:
-        from functools import partial
-
-        queries = pool.map_ordered(partial(_generate_one, generator), work)
-    else:
-        queries = [_generate_one(generator, item) for item in work]
-    pairs = list(zip(examples, queries))
+    pairs = []
+    for example in examples:
+        provided = provider(example, benchmark.database(example.db_id).schema)
+        pairs.append((example, generator.generate(example, provided)))
     report = evaluator.evaluate(pairs)
     evaluator.close()
     return report

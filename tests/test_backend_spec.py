@@ -9,9 +9,9 @@ Pins down the api_redesign guarantees:
   parses back (through the shared ``add_arguments`` flags) to an equal
   spec, for *any* valid spec (property-based), and pickling a spec is
   the identity;
-* ``from_args`` resolves the worker count through the documented
-  fallback chain (``--gen-workers`` → explicit override → ``workers``
-  attribute → dataclass default);
+* ``from_args`` takes the worker count from ``--gen-workers``, whose
+  default is the CLI's own ``add_arguments(defaults=...)`` spec, else
+  the dataclass default;
 * the spec is the only backend configuration surface: the retired
   ``async`` kind is rejected, and ``make_backend`` dispatches on
   ``kind`` alone.
@@ -61,6 +61,7 @@ def test_defaults_are_a_valid_simulator_spec():
         {"kind": "llama.cpp"},
         {"transport": "carrier-pigeon"},
         {"address": "ipx:whatever"},
+        {"address": "tcp:nope"},  # a tcp address needs host:port
         {"workers": 0},  # accept-only needs process + socket
         {"kind": PROCESS, "workers": 0},  # pipe transport still spawns
         {"kind": PROCESS, "transport": UNIX_TRANSPORT, "workers": -1},
@@ -142,27 +143,66 @@ def test_pickle_round_trip_is_exact(spec):
 
 def test_from_args_worker_fallback_chain():
     # --gen-workers wins outright.
-    args = parse(["--gen-workers", "7"])
-    args.workers = 3
-    assert BackendSpec.from_args(args, workers=5).workers == 7
-    # Then the explicit override a CLI passes.
-    args = parse([])
-    args.workers = 3
-    assert BackendSpec.from_args(args, workers=5).workers == 5
-    # Then the namespace's own workers attribute.
-    assert BackendSpec.from_args(args).workers == 3
+    args = parse(["--gen-workers", "7"], defaults=BackendSpec(workers=5))
+    assert BackendSpec.from_args(args).workers == 7
+    # Then the CLI's own defaults=... spec.
+    assert BackendSpec.from_args(parse([], defaults=BackendSpec(workers=5))).workers == 5
     # Then the dataclass default.
     assert BackendSpec.from_args(parse([])).workers == BackendSpec.workers
+    # A namespace without the flag (a hand-built one) falls back too.
+    assert BackendSpec.from_args(argparse.Namespace()).workers == BackendSpec.workers
 
 
 def test_add_arguments_defaults_customize_without_forking_flags():
-    args = parse([], defaults=BackendSpec(kind=PROCESS, max_restarts=3))
+    args = parse([], defaults=BackendSpec(kind=PROCESS, workers=2, max_restarts=3))
     spec = BackendSpec.from_args(args)
     assert spec.kind == PROCESS
     assert spec.max_restarts == 3
-    # Worker counts resolve through from_args' fallback chain instead
-    # (CLIs pass their own --workers), so defaults=... leaves them alone.
-    assert spec.workers == BackendSpec.workers
+    assert spec.workers == 2
+
+
+def _run_cli(argv):
+    from repro.runtime.cli import main
+
+    return main(argv)
+
+
+def _sweep_cli(argv):
+    from repro.runtime.cli import main_sweep
+
+    return main_sweep(["run", "--out", "sweep", *argv])
+
+
+def _serve_cli(argv):
+    from repro.runtime.serve import main_serve
+
+    return main_serve(argv)
+
+
+@pytest.mark.parametrize(
+    "cli, argv, message",
+    [
+        (_run_cli, ["--gen-workers", "0"], "workers must be >= 1"),
+        (_sweep_cli, ["--backend", PROCESS, "--gen-workers", "0"], "workers must be >= 1"),
+        (
+            _serve_cli,
+            ["--backend", PROCESS, "--address", "tcp:nope"],
+            "bad worker address 'tcp:nope'",
+        ),
+    ],
+    ids=["repro-run", "repro-sweep", "repro-serve"],
+)
+def test_clis_report_bad_backend_specs_as_usage_errors(
+    cli, argv, message, capsys, monkeypatch, tmp_path
+):
+    """A spec BackendSpec rejects exits 2 with an ``error:`` line before
+    any corpus, backend or server is built — not with a traceback."""
+    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as info:
+        cli(["--scale", "tiny", *argv])
+    assert info.value.code == 2
+    assert f"error: {message}" in capsys.readouterr().err
 
 
 # -- construction -------------------------------------------------------------

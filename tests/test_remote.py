@@ -559,7 +559,7 @@ def test_run_cli_process_backend_matches_simulator_summary(tmp_path, capsys, mon
         "--task", "table",
         "--scale", "tiny",
         "--limit", "2",
-        "--workers", "2",
+        "--gen-workers", "2",
     ]
     assert main([*args, "--backend", "simulator"]) == 0
     simulator = json.loads(capsys.readouterr().out)

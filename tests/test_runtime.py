@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 
 import pytest
 
-from repro.core.config import RTSConfig
+from repro.core.config import ABSTAIN, RTSConfig
 from repro.core.pipeline import RTSPipeline
 from repro.llm.model import TransparentLLM
 from repro.runtime.artifacts import (
@@ -16,8 +18,9 @@ from repro.runtime.artifacts import (
     summarize_link,
 )
 from repro.runtime.cache import CachingLLM, GenerationCache, instance_key
-from repro.runtime.pool import PROCESS, THREAD, WorkerPool
+from repro.runtime.pool import WorkerPool
 from repro.runtime.runner import BatchRunner
+from repro.runtime.service import PROCESS, BackendSpec
 
 
 @pytest.fixture(scope="module")
@@ -27,6 +30,25 @@ def caching_pipeline(bird_tiny):
     pipe = RTSPipeline(llm, RTSConfig(seed=3))
     pipe.fit_benchmark(bird_tiny)
     return pipe
+
+
+@contextmanager
+def fitted_process_pipeline(benchmark):
+    """The caching pipeline with generations on two worker processes."""
+    base = TransparentLLM(seed=11)
+    service = BackendSpec(kind=PROCESS, workers=2).build(base)
+    pipe = RTSPipeline(CachingLLM(base, service=service), RTSConfig(seed=3))
+    try:
+        yield pipe.fit_benchmark(benchmark)
+    finally:
+        service.close()
+
+
+@pytest.fixture(scope="module")
+def process_pipeline(bird_tiny):
+    """The same pipeline with generations on two worker processes."""
+    with fitted_process_pipeline(bird_tiny) as pipe:
+        yield pipe
 
 
 @pytest.fixture(scope="module")
@@ -40,26 +62,15 @@ def dev_instances(bird_tiny):
 
 
 def test_pool_serial_fallback_and_order():
-    pool = WorkerPool(workers=1, backend=THREAD)
-    assert pool.is_serial
+    pool = WorkerPool()
     assert pool.map_ordered(lambda x: x * x, range(7)) == [0, 1, 4, 9, 16, 25, 36]
-
-
-def test_pool_thread_preserves_input_order():
-    pool = WorkerPool(workers=4, backend=THREAD)
-    items = list(range(50))
-    assert pool.map_ordered(lambda x: -x, items) == [-x for x in items]
-
-
-def test_pool_rejects_bad_config():
-    with pytest.raises(ValueError):
-        WorkerPool(workers=2, backend="gpu")
-    with pytest.raises(ValueError):
-        WorkerPool(workers=0)
+    lazy = pool.imap_ordered(lambda x: -x, range(3))
+    assert next(lazy) == 0  # streams: nothing beyond the first item ran yet
+    assert list(lazy) == [-1, -2]
 
 
 def test_pool_empty_input():
-    assert WorkerPool(workers=4, backend=THREAD).map_ordered(abs, []) == []
+    assert WorkerPool().map_ordered(abs, []) == []
 
 
 # -- generation cache ---------------------------------------------------------
@@ -115,45 +126,66 @@ def test_cache_hits_on_joint_sweep(caching_pipeline, bird_tiny):
 
 
 # -- serial vs parallel determinism -------------------------------------------
+# The one parallel axis is the process backend: two worker processes
+# must reproduce the in-process simulator bit for bit, whether one caller
+# drives them or several request threads share them (as repro-serve does).
 
 
-@pytest.mark.parametrize("backend", [THREAD, PROCESS])
-def test_link_parallel_matches_serial(caching_pipeline, dev_instances, backend):
-    serial = BatchRunner(caching_pipeline, workers=1).run_link(dev_instances)
-    parallel = BatchRunner(caching_pipeline, workers=4, backend=backend).run_link(
-        dev_instances
-    )
+def _link_from_request_threads(pipeline, instances, keys, threads=4):
+    """Link every instance from concurrent caller threads, as run_link would."""
+    with ThreadPoolExecutor(max_workers=threads) as callers:
+        outcomes = list(callers.map(lambda i: pipeline.link(i, mode=ABSTAIN), instances))
+    records = [dict(link_record(o), key=k) for o, k in zip(outcomes, keys)]
+    rehydrated = [link_outcome_from_record(r, i) for r, i in zip(records, instances)]
+    return records, summarize_link(rehydrated)
+
+
+@pytest.mark.parametrize("callers", ["process", "thread"])
+def test_link_parallel_matches_serial(
+    callers, caching_pipeline, process_pipeline, bird_tiny, dev_instances
+):
+    serial = BatchRunner(caching_pipeline).run_link(dev_instances)
+    if callers == "process":
+        parallel = BatchRunner(process_pipeline).run_link(dev_instances)
+        records, summary = parallel.records, parallel.summary
+    else:
+        # A cold pipeline, so every generation crosses the process backend
+        # while the caller threads overlap.
+        keys = [r["key"] for r in serial.records]
+        with fitted_process_pipeline(bird_tiny) as pipe:
+            records, summary = _link_from_request_threads(pipe, dev_instances, keys)
     # Byte-identical aggregate metrics, per the determinism contract.
     assert json.dumps(serial.summary, sort_keys=True) == json.dumps(
-        parallel.summary, sort_keys=True
+        summary, sort_keys=True
     )
-    assert serial.records == parallel.records
+    assert serial.records == records
 
 
-def test_joint_parallel_matches_serial(caching_pipeline, bird_tiny):
+def test_joint_parallel_matches_serial(caching_pipeline, process_pipeline, bird_tiny):
     from repro.abstention.human import HumanOracle
 
     examples = list(bird_tiny.dev)
-    serial = BatchRunner(caching_pipeline, workers=1).run_joint(
+    serial = BatchRunner(caching_pipeline).run_joint(
         examples, bird_tiny, human=HumanOracle(seed=9)
     )
-    threaded = BatchRunner(caching_pipeline, workers=4, backend=THREAD).run_joint(
+    parallel = BatchRunner(process_pipeline).run_joint(
         examples, bird_tiny, human=HumanOracle(seed=9)
     )
-    assert serial.records == threaded.records
-    assert serial.summary == threaded.summary
-
-
-def test_branch_dataset_parallel_matches_serial(caching_pipeline, dev_instances):
-    import numpy as np
-
-    serial = BatchRunner(caching_pipeline, workers=1).branch_dataset(dev_instances)
-    threaded = BatchRunner(caching_pipeline, workers=4, backend=THREAD).branch_dataset(
-        dev_instances
+    assert serial.records == parallel.records
+    assert json.dumps(serial.summary, sort_keys=True) == json.dumps(
+        parallel.summary, sort_keys=True
     )
-    assert np.array_equal(serial.hidden, threaded.hidden)
-    assert np.array_equal(serial.labels, threaded.labels)
-    assert np.array_equal(serial.groups, threaded.groups)
+
+
+def test_branch_dataset_parallel_matches_serial(
+    caching_pipeline, process_pipeline, dev_instances
+):
+    serial = BatchRunner(caching_pipeline).branch_dataset(dev_instances)
+    parallel = BatchRunner(process_pipeline).branch_dataset(dev_instances)
+    for field in ("hidden", "labels", "groups"):
+        a, b = getattr(serial, field), getattr(parallel, field)
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
 
 
 # -- artifacts: records, checkpoints, resume ----------------------------------
@@ -388,7 +420,6 @@ def test_cli_runs_and_writes_artifact(tmp_path, capsys):
             "--split", "dev",
             "--task", "table",
             "--scale", "tiny",
-            "--workers", "2",
             "--limit", "4",
             "--artifact", str(artifact),
         ]

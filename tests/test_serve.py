@@ -338,6 +338,23 @@ def test_per_request_deadline_returns_503_without_duplicates(
     assert stats["supervisor"]["n_duplicate_results"] == 0
 
 
+def test_warm_ignores_a_request_deadline_shorter_than_the_fit():
+    """The one-time fit runs on the warming thread inside
+    ``deadline_scope(None)``: a 1 ms request deadline, far shorter than
+    the fit batch, neither fails the warm-up nor is rewritten by it."""
+    from repro.runtime.service import PROCESS, BackendSpec
+
+    spec = BackendSpec(kind=PROCESS, workers=1, request_timeout_s=0.001)
+    ctx = ExperimentContext.tiny(spec=spec)
+    try:
+        app = ServeApp(ctx, benchmarks=("bird",))
+        app.warm()  # no DeadlineExceeded
+        assert app.backend.request_timeout_s == spec.request_timeout_s
+        assert ctx.service.stats.misses > 0  # the fit really ran on the backend
+    finally:
+        ctx.close()
+
+
 def test_per_request_timeout_validation(served):
     server, _app, ctx = served
     example_id = ctx.benchmark("bird").dev.examples[0].example_id
@@ -573,3 +590,7 @@ def test_serve_parser_shares_the_backend_flag_vocabulary():
     assert args.transport == "unix"
     assert args.gen_workers == 2
     assert args.port == 0  # ephemeral by default
+    # Two generation workers by default; there is no separate --workers.
+    assert build_serve_parser().parse_args([]).gen_workers == 2
+    with pytest.raises(SystemExit):
+        build_serve_parser().parse_args(["--workers", "2"])

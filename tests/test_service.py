@@ -43,7 +43,6 @@ from repro.runtime.persist import (
     store_stats,
     trace_from_record,
 )
-from repro.runtime.pool import WorkerPool
 from repro.runtime.service import (
     FORCED,
     FREE,
@@ -136,12 +135,15 @@ def test_simulator_backend_matches_direct_llm_calls(table_instances):
 
 
 def test_simulator_backend_pooled_matches_serial(table_instances):
+    """Two process workers reproduce the serial simulator bit for bit."""
     requests = mixed_requests(table_instances)
     serial = SimulatorBackend(TransparentLLM(seed=11)).generate(requests)
-    pooled = SimulatorBackend(
-        TransparentLLM(seed=11), pool=WorkerPool(workers=4)
-    ).generate(requests)
-    for a, b in zip(serial, pooled):
+    with BackendSpec(kind=PROCESS, workers=2).make_backend(
+        TransparentLLM(seed=11)
+    ) as pooled:
+        traces = pooled.generate(requests)
+    assert len(traces) == len(serial)
+    for a, b in zip(serial, traces):
         assert_traces_equal(a, b)
 
 
@@ -526,7 +528,7 @@ def test_sweep_cli_closes_process_workers(tmp_path, capsys, monkeypatch, spawned
         "--scale", "tiny",
         "--limit", "2",
         "--backend", "process",
-        "--workers", "2",
+        "--gen-workers", "2",
         "--out", str(tmp_path / "sweep"),
     ]
     assert main_sweep(args) == 0
@@ -681,7 +683,6 @@ def test_run_cli_honors_cache_dir_env_default(tmp_path, capsys, monkeypatch):
         "--task", "table",
         "--scale", "tiny",
         "--limit", "2",
-        "--workers", "1",
     ]
     assert main(args) == 0
     cold = json.loads(capsys.readouterr().out)
