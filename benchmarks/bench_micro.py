@@ -300,16 +300,13 @@ def test_bench_synthesis_incremental_session_forced(benchmark, synthesis_instanc
     benchmark(run)
 
 
-# -- store round-trip: base64-JSON codec vs binary sidecar + mmap --------------
+# -- store round-trip: warm reads from the binary sidecar + mmap ---------------
 #
-# The same wide traces written once per codec, then warm L2 reads
-# (probe_disk + record_to_trace against a prebuilt store) timed per
-# round. The base64 rows decode-and-copy every hidden block; the binary
-# rows rehydrate `hidden_stack` as a zero-copy view over a shared mmap
-# of the `.bin` sidecar. Compare the "store-roundtrip" group's warm-read
-# rows — `scripts/dev.sh bench-smoke` prints the speedup ratio, and the
-# acceptance bar is >= 5x. Payload bytes ride in `extra_info` so the
-# JSON artifact can report MB/s.
+# Wide traces written once, then warm L2 reads (probe_disk +
+# record_to_trace against a prebuilt store) timed per round: each read
+# rehydrates `hidden_stack` as a zero-copy view over a shared mmap of
+# the `.bin` sidecar. Payload bytes ride in `extra_info`, and
+# `scripts/dev.sh bench-smoke` prints the warm-read MB/s.
 
 
 @pytest.fixture(scope="module")
@@ -324,36 +321,17 @@ def store_payload_bytes(store_traces):
 
 
 @pytest.fixture(scope="module")
-def store_root(store_traces, tmp_path_factory):
+def store_reader(store_traces, tmp_path_factory):
     from repro.runtime.persist import PersistentGenerationCache
 
     root = tmp_path_factory.mktemp("bench-store")
-    for codec in ("base64", "binary"):
-        cache = PersistentGenerationCache(
-            root / codec, namespace="bench", codec=codec
-        )
-        for trace in store_traces:
-            cache.get_or_compute(
-                (trace.instance_id, "forced"), lambda t=trace: t
-            )
-        cache.close()
-    return root
-
-
-@pytest.fixture(scope="module")
-def store_readers(store_root, store_traces):
-    from repro.runtime.persist import PersistentGenerationCache
-
-    readers = {}
-    for codec in ("base64", "binary"):
-        cache = PersistentGenerationCache(store_root / codec, namespace="bench")
-        addresses = [
-            cache.address((t.instance_id, "forced")) for t in store_traces
-        ]
-        readers[codec] = (cache, addresses)
-    yield readers
-    for cache, _ in readers.values():
-        cache.close()
+    writer = PersistentGenerationCache(root, namespace="bench")
+    for trace in store_traces:
+        writer.get_or_compute((trace.instance_id, "forced"), lambda t=trace: t)
+    writer.close()
+    cache = PersistentGenerationCache(root, namespace="bench")
+    yield cache, [cache.address((t.instance_id, "forced")) for t in store_traces]
+    cache.close()
 
 
 def _warm_read_all(cache, addresses):
@@ -366,36 +344,8 @@ def _warm_read_all(cache, addresses):
 
 
 @pytest.mark.benchmark(group="store-roundtrip")
-def test_bench_store_encode_base64(benchmark, store_traces):
-    from repro.runtime.persist import trace_to_record
-
-    benchmark(lambda: [trace_to_record(t) for t in store_traces])
-
-
-@pytest.mark.benchmark(group="store-roundtrip")
-def test_bench_store_decode_base64(benchmark, store_traces):
-    from repro.runtime.persist import trace_from_record, trace_to_record
-
-    records = [trace_to_record(t) for t in store_traces]
-    benchmark(lambda: [trace_from_record(r) for r in records])
-
-
-@pytest.mark.benchmark(group="store-roundtrip")
-def test_bench_store_warm_read_base64(
-    benchmark, store_readers, store_payload_bytes
-):
-    cache, addresses = store_readers["base64"]
-    _warm_read_all(cache, addresses)  # touch pages outside the timed region
-    benchmark(lambda: _warm_read_all(cache, addresses))
-    benchmark.extra_info["payload_bytes"] = store_payload_bytes
-    benchmark.extra_info["traces"] = len(addresses)
-
-
-@pytest.mark.benchmark(group="store-roundtrip")
-def test_bench_store_warm_read_binary(
-    benchmark, store_readers, store_payload_bytes
-):
-    cache, addresses = store_readers["binary"]
+def test_bench_store_warm_read_binary(benchmark, store_reader, store_payload_bytes):
+    cache, addresses = store_reader
     traces = _warm_read_all(cache, addresses)  # warm the shared mmap
     assert all(
         t.hidden_stack is not None and not t.hidden_stack.flags.writeable

@@ -12,8 +12,7 @@
 #   scripts/dev.sh sweep-smoke   # sharded sweep + warm-cache + merge identity
 #   scripts/dev.sh service-smoke # simulator/process byte identity,
 #                                # kill-one-worker crash recovery, compacted
-#                                # SQLite-indexed warm run with zero misses,
-#                                # legacy base64 store read + migrate in place
+#                                # SQLite-indexed warm run with zero misses
 #   scripts/dev.sh serve-smoke   # repro-serve over two unix-socket workers
 #                                # with deadlines + fleet/bearer tokens:
 #                                # deadline 503s without duplicates, HTTP
@@ -59,8 +58,8 @@ bench_smoke() {
     --benchmark-min-rounds=1 --benchmark-warmup=off --benchmark-max-time=0.1 \
     --benchmark-json=out/bench-smoke.json
 
-  # Surface the headline ratios (vectorized trace synthesis, binary
-  # store warm reads) and IPC throughput in the job log so regressions
+  # Surface the headline ratio (vectorized trace synthesis), binary
+  # store warm-read and IPC throughput in the job log so regressions
   # are visible without opening the JSON artifact. Ratios are of
   # medians; a ratio whose two rows' interquartile ranges overlap is
   # reported as "unresolved" — the spread does not separate them.
@@ -92,13 +91,11 @@ for mode in ("forced", "free"):
         print(f"trace-synthesis {mode}: {ratio(scalar, fast)} "
               f"(scalar {ms(scalar)} -> vectorized {ms(fast)})")
 
-b64 = "test_bench_store_warm_read_base64"
 raw = "test_bench_store_warm_read_binary"
-if b64 in stats and raw in stats:
+if raw in stats:
     nbytes = extra[raw].get("payload_bytes", 0)
-    print(f"store-roundtrip warm read: {ratio(b64, raw)} "
-          f"(base64 {ms(b64)} -> binary mmap {ms(raw)}, "
-          f"{nbytes / stats[raw]['median'] / 1e6:.0f} MB/s)")
+    print(f"store-roundtrip warm read: {ms(raw)} binary mmap, "
+          f"{nbytes / stats[raw]['median'] / 1e6:.0f} MB/s")
 
 ipc = "test_bench_ipc_throughput"
 if ipc in stats:
@@ -248,50 +245,8 @@ assert stats[namespace]["segments"] == 1, f"compaction left segments: {stats}"
 print(f"service-smoke OK: warm={warm} store={stats[namespace]}")
 PY
 
-  # Legacy-store migration: a cold run writes with the legacy base64
-  # codec, the current code reads it warm (byte-identical summary,
-  # zero misses), `repro-cache migrate` transcodes every record to the
-  # binary layout, and a final warm run against the migrated store is
-  # still fully hit and byte-identical.
-  REPRO_STORE_CODEC=base64 run "${axes[@]}" --backend simulator \
-    --artifact "$out/legacy-cold.jsonl" --cache-dir "$out/gen-legacy" \
-    > "$out/legacy-cold.json"
-  cmp "$out/sim.jsonl.summary.json" "$out/legacy-cold.jsonl.summary.json"
-  run "${axes[@]}" --backend simulator --artifact "$out/legacy-warm.jsonl" \
-    --cache-dir "$out/gen-legacy" > "$out/legacy-warm.json"
-  cmp "$out/sim.jsonl.summary.json" "$out/legacy-warm.jsonl.summary.json"
-  cache stats --cache-dir "$out/gen-legacy" > "$out/legacy-stats-before.json"
-  cache migrate --cache-dir "$out/gen-legacy" > "$out/legacy-migrate.json"
-  cache stats --cache-dir "$out/gen-legacy" > "$out/legacy-stats-after.json"
-  run "${axes[@]}" --backend simulator --artifact "$out/migrated-warm.jsonl" \
-    --cache-dir "$out/gen-legacy" > "$out/migrated-warm.json"
-  cmp "$out/sim.jsonl.summary.json" "$out/migrated-warm.jsonl.summary.json"
-
-  python - "$out" <<'PY'
-import json
-import sys
-from pathlib import Path
-
-out = Path(sys.argv[1])
-before = json.loads((out / "legacy-stats-before.json").read_text())["namespaces"]
-(namespace,) = before
-codecs = before[namespace]["codecs"]
-assert set(codecs) == {"base64"}, f"legacy store not pure base64: {codecs}"
-migrate = json.loads((out / "legacy-migrate.json").read_text())["compacted"]
-transcoded = migrate[namespace]["transcoded"]
-assert transcoded > 0, f"migrate transcoded nothing: {migrate}"
-after = json.loads((out / "legacy-stats-after.json").read_text())["namespaces"]
-codecs = after[namespace]["codecs"]
-assert set(codecs) == {"binary"}, f"migration left legacy records: {codecs}"
-for path in ("legacy-warm.json", "migrated-warm.json"):
-    warm = json.loads((out / path).read_text())["generation_cache"]
-    assert warm["misses"] == 0, f"{path}: warm run recomputed generations: {warm}"
-print(f"legacy-store migration OK: {transcoded} records transcoded, "
-      f"store now {codecs}")
-PY
   echo "service-smoke passed: simulator and process byte-identical," \
-       "kill-one-worker recovery clean, compacted+indexed warm run fully hit," \
-       "legacy base64 store read+migrated in place with summaries unchanged"
+       "kill-one-worker recovery clean, compacted+indexed warm run fully hit"
 }
 
 serve_smoke() {

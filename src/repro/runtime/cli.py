@@ -406,15 +406,11 @@ examples:
   repro-cache stats --cache-dir out/gen
   repro-cache compact --cache-dir out/gen
   repro-cache compact --cache-dir out/gen --namespace llm-0123abcd --force
-  repro-cache migrate --cache-dir out/gen
 
-stats reports the per-namespace codec mix (base64 vs binary records and
-payload bytes), so a store mid-migration is visible at a glance.
-
-compact folds segments, drops duplicates, and transcodes any legacy
-base64 records into the binary sidecar layout; the transcode count is
-logged and reported per namespace.  migrate is an alias for compact —
-use it when the intent is codec migration rather than space reclaim.
+compact folds segments, drops duplicates, and copies every tensor block
+into one sidecar.  The store format version is part of each namespace
+name, so a store written in an older format sits in its own namespace
+and is ignored; delete its directory to reclaim the disk.
 
 compact fails fast while another writer holds a live lock on the
 namespace (a crashed writer's stale lock is swept automatically);
@@ -441,38 +437,32 @@ def build_cache_parser() -> argparse.ArgumentParser:
         help="store root (default: $REPRO_CACHE_DIR)",
     )
 
-    compact_help = {
-        "compact": "fold each namespace's segments into one, dropping "
-        "duplicates, transcoding legacy base64 records to the binary "
-        "layout, and building the SQLite index tier (only while no "
-        "writer is active)",
-        "migrate": "alias for compact: rewrite every namespace in the "
-        "current binary segment format (legacy base64 records are "
-        "transcoded in place)",
-    }
-    for name, help_text in compact_help.items():
-        compact = commands.add_parser(name, help=help_text)
-        compact.add_argument(
-            "--cache-dir",
-            default=_default_cache_dir(),
-            help="store root (default: $REPRO_CACHE_DIR)",
-        )
-        compact.add_argument(
-            "--namespace",
-            default=None,
-            help="compact one namespace only (default: every namespace)",
-        )
-        compact.add_argument(
-            "--no-index",
-            action="store_true",
-            help="skip building the SQLite index tier (segment scans only)",
-        )
-        compact.add_argument(
-            "--force",
-            action="store_true",
-            help="compact even while other writers hold live locks (their "
-            "in-flight entries may be dropped)",
-        )
+    compact = commands.add_parser(
+        "compact",
+        help="fold each namespace's segments into one, dropping duplicates "
+        "and building the SQLite index tier (only while no writer is active)",
+    )
+    compact.add_argument(
+        "--cache-dir",
+        default=_default_cache_dir(),
+        help="store root (default: $REPRO_CACHE_DIR)",
+    )
+    compact.add_argument(
+        "--namespace",
+        default=None,
+        help="compact one namespace only (default: every namespace)",
+    )
+    compact.add_argument(
+        "--no-index",
+        action="store_true",
+        help="skip building the SQLite index tier (segment scans only)",
+    )
+    compact.add_argument(
+        "--force",
+        action="store_true",
+        help="compact even while other writers hold live locks (their "
+        "in-flight entries may be dropped)",
+    )
     return parser
 
 
@@ -528,7 +518,6 @@ def main_cache(argv: "list[str] | None" = None) -> int:
             cache.close()
             return 3
         directory = cache.directory
-        transcoded = (cache.last_compaction or {}).get("transcoded", 0)
         cache.close()
         # stat() sizes only — no second record-parsing scan of the store.
         bytes_after = sum(
@@ -539,19 +528,12 @@ def main_cache(argv: "list[str] | None" = None) -> int:
         index_path = directory / INDEX_NAME
         if index_path.is_file():
             bytes_after += index_path.stat().st_size
-        if transcoded:
-            print(
-                f"repro-cache: {namespace}: transcoded {transcoded} legacy "
-                "base64 record(s) to binary",
-                file=sys.stderr,
-            )
         compacted[namespace] = {
             "entries": kept,
             "segments_before": before[namespace]["segments"],
             "records_before": before[namespace]["records"],
             "bytes_before": before[namespace]["bytes"],
             "bytes_after": bytes_after,
-            "transcoded": transcoded,
             "indexed": not args.no_index,
         }
     _emit({"cache_dir": str(cache_dir), "compacted": compacted})

@@ -16,9 +16,8 @@ seeded models must never alias), each containing append-only JSONL
 
     cache_dir/
       <namespace>/
-        format.json              # store format version marker
         w-<pid>-<nonce>.jsonl    # one manifest segment per writer instance
-        w-<pid>-<nonce>.bin      # its tensor sidecar (binary codec)
+        w-<pid>-<nonce>.bin      # its tensor sidecar
         c-<pid>-<nonce>.jsonl    # a compacted segment (see compact())
         c-<pid>-<nonce>.bin
 
@@ -36,9 +35,7 @@ step metadata plus a ``{"bin", "offset", "length", "dtype", "shape"}``
 descriptor. Readers memory-map the sidecar once and rehydrate
 ``hidden_stack`` as a zero-copy ``np.frombuffer`` view over the map —
 a warm store hit costs a point lookup plus a view, not a
-decode-and-copy. Legacy stores that inline tensors as base64 blocks
-(format v1, written by ``codec="base64"``) stay fully readable, and
-:meth:`PersistentGenerationCache.compact` transcodes them to binary.
+decode-and-copy.
 
 Concurrency
 -----------
@@ -61,8 +58,6 @@ mmap view per trace, matching the simulator's columnar
 ``GenerationTrace``) — so a trace rehydrated from disk is bit-identical
 to the one computed, which is what makes sharded sweeps byte-identical
 to unsharded ones even when probes are trained from cached traces.
-Legacy base64 blocks and per-step-blob records (pre-``hidden-v2``
-stores) are still readable.
 
 The SQLite index tier
 ---------------------
@@ -93,14 +88,13 @@ operators who know the writers are actually gone.
 
 Format versioning
 -----------------
-Every writer stamps the namespace with a ``format.json`` marker
-(currently ``STORE_FORMAT_VERSION == 2``). Older stores (no marker,
-or a lower version) are read-compatible and upgraded in place the
-first time a new writer appends; a marker from a *future* version
-makes writers refuse with :class:`RuntimeError` so two formats are
-never mix-written into one namespace. ``compact()`` rewrites every
-record into the current binary format, which is how legacy base64
-stores migrate (``repro-cache migrate``).
+The store has one format. :data:`STORE_FORMAT_VERSION` is hashed into
+every namespace by :func:`generation_namespace`, the same way the
+simulator version is, so a format change lands in a fresh namespace:
+a store written in an older format is never read and never
+mix-written, only ignored. The store is a cache of pure functions, so
+an ignored namespace costs one recompute, and deleting its directory
+reclaims the disk.
 
 Eviction
 --------
@@ -113,7 +107,6 @@ rewrite all segments into one with duplicates dropped.
 
 from __future__ import annotations
 
-import base64
 import hashlib
 import json
 import mmap
@@ -129,10 +122,6 @@ from repro.llm.model import GenerationStep, GenerationTrace
 from repro.runtime.cache import _MISS, CacheStats, GenerationCache
 
 __all__ = [
-    "BASE64_CODEC",
-    "BINARY_CODEC",
-    "CODEC_ENV",
-    "FORMAT_MARKER",
     "INDEX_NAME",
     "LOCK_SUFFIX",
     "STORE_FORMAT_VERSION",
@@ -142,20 +131,15 @@ __all__ = [
     "active_writer_locks",
     "generation_namespace",
     "store_stats",
-    "trace_to_record",
     "trace_from_record",
 ]
 
 INDEX_NAME = "index.sqlite"
 LOCK_SUFFIX = ".lock"
 BIN_SUFFIX = ".bin"
-FORMAT_MARKER = "format.json"
-#: v1 = inline base64 tensors; v2 = binary ``.bin`` sidecars + manifest.
-STORE_FORMAT_VERSION = 2
-BASE64_CODEC = "base64"
-BINARY_CODEC = "binary"
-#: Env override for the default write codec (smokes exercise legacy writes).
-CODEC_ENV = "REPRO_STORE_CODEC"
+#: Hashed into every namespace: v1 inlined tensors in the manifest, v2
+#: moved them to ``.bin`` sidecars, v3 is v2 made the only format.
+STORE_FORMAT_VERSION = 3
 
 
 class WriterActiveError(RuntimeError):
@@ -215,62 +199,18 @@ def generation_namespace(*identity) -> str:
     instance is captured by the cache key, the rest lives here. The
     simulator version participates so a bit-level change to trace
     synthesis (e.g. the ``hidden-v2`` two-phase scheme) lands in a fresh
-    namespace and never aliases traces written by an older scheme.
+    namespace and never aliases traces written by an older scheme;
+    :data:`STORE_FORMAT_VERSION` participates for the same reason, so a
+    format change never reads or extends an older store.
     """
     digest = hashlib.blake2b(digest_size=8)
-    for part in identity:
+    for part in (f"store-v{STORE_FORMAT_VERSION}", *identity):
         digest.update(repr(part).encode("utf8"))
         digest.update(b"\x1f")
     return f"llm-{digest.hexdigest()}"
 
 
-def _check_store_format(directory: Path, stamp: bool) -> None:
-    """Refuse to write into a future-format namespace; stamp ours if asked.
-
-    Binary writers (and ``compact()``) stamp the namespace with the
-    current :data:`STORE_FORMAT_VERSION`; legacy ``codec="base64"``
-    writers only enforce the ceiling — older layouts are readable by
-    newer code, so they never need to claim the version.
-    """
-    marker = directory / FORMAT_MARKER
-    try:
-        version = int(json.loads(marker.read_text()).get("version", 1))
-    except FileNotFoundError:
-        version = None
-    except (OSError, ValueError, TypeError):
-        version = None  # unreadable marker: treat as unstamped, restamp
-    if version is not None and version > STORE_FORMAT_VERSION:
-        raise RuntimeError(
-            f"store namespace {directory.name!r} is format v{version}, newer "
-            f"than this code's v{STORE_FORMAT_VERSION}; refusing to write a "
-            "mixed store"
-        )
-    if stamp and version != STORE_FORMAT_VERSION:
-        marker.write_text(
-            json.dumps({"version": STORE_FORMAT_VERSION}, sort_keys=True) + "\n"
-        )
-
-
 # -- exact trace (de)serialization --------------------------------------------
-
-
-def _encode_array(arr: np.ndarray) -> dict:
-    arr = np.ascontiguousarray(arr)
-    return {
-        "dtype": arr.dtype.str,
-        "shape": list(arr.shape),
-        "b64": base64.b64encode(arr.tobytes()).decode("ascii"),
-    }
-
-
-def _decode_array(record: dict, writable: bool = False) -> np.ndarray:
-    raw = base64.b64decode(record["b64"].encode("ascii"))
-    arr = np.frombuffer(raw, dtype=np.dtype(record["dtype"]))
-    # frombuffer yields a read-only view over the bytes object — exactly
-    # right for rehydrated traces, which are immutable by contract, so
-    # the copy is opt-in for the rare caller that needs to mutate.
-    arr = arr.reshape(record["shape"])
-    return arr.copy() if writable else arr
 
 
 def _little_endian(arr: np.ndarray) -> np.ndarray:
@@ -279,12 +219,6 @@ def _little_endian(arr: np.ndarray) -> np.ndarray:
     if dtype.byteorder == ">":
         arr = arr.astype(dtype.newbyteorder("<"))
     return np.ascontiguousarray(arr)
-
-
-def _b64_nbytes(b64: str) -> int:
-    """Decoded byte length of one base64 block without decoding it."""
-    padding = 2 if b64.endswith("==") else 1 if b64.endswith("=") else 0
-    return len(b64) * 3 // 4 - padding
 
 
 def _bin_reference(value: dict) -> "dict | None":
@@ -303,6 +237,9 @@ class _BinReader:
     ``np.frombuffer`` slices of the map: read-only, no copy, and they
     keep the map alive through the buffer protocol even after
     :meth:`close` — which is why close tolerates :class:`BufferError`.
+    Empty blocks (zero-step traces) are served without mapping: their
+    sidecar may be empty, or absent after a compaction, and an empty
+    file cannot be mapped.
     """
 
     def __init__(self, directory: "str | Path"):
@@ -317,6 +254,8 @@ class _BinReader:
         length = int(record["length"])
         dtype = np.dtype(record["dtype"])
         shape = tuple(int(n) for n in record["shape"])
+        if length == 0:
+            return np.frombuffer(b"", dtype=dtype).reshape(shape)
         end = offset + length
         with self._lock:
             handle, size = self._maps.get(name, (None, 0))
@@ -370,123 +309,34 @@ def _steps_to_records(trace: GenerationTrace) -> "list[dict]":
     ]
 
 
-def trace_to_record(trace: GenerationTrace) -> dict:
-    """A JSON-able, bit-exact, *self-contained* record of one trace.
-
-    Hidden states are serialized columnar: the whole ``(n, layers,
-    dim)`` tensor as one base64 block (one encode, one decode per
-    trace) rather than one blob per step. This is the v1 inline layout
-    — still what standalone round-trips (artifacts, tests) use; the
-    store's binary writer emits the sidecar-descriptor layout instead
-    (see :class:`PersistentGenerationCache`).
-    """
-    return {
-        "instance_id": trace.instance_id,
-        "aborted": bool(trace.aborted),
-        "hidden": _encode_array(trace.hidden_matrix()),
-        "steps": _steps_to_records(trace),
-    }
-
-
-def _step_from_record(step: dict, hidden) -> GenerationStep:
-    return GenerationStep(
-        position=step["position"],
-        proposed=step["proposed"],
-        hidden=hidden,
-        max_prob=step["max_prob"],
-        item_index=step["item_index"],
-        within_index=step["within_index"],
-        is_branching=step["is_branching"],
-        committed=step["committed"],
-        forced=step["forced"],
-        decision_point=step.get("decision_point", True),
-    )
-
-
 def trace_from_record(
     record: dict,
     directory: "str | Path | None" = None,
     reader: "_BinReader | None" = None,
 ) -> GenerationTrace:
-    """Rehydrate a trace; inverse of :func:`trace_to_record`.
+    """Rehydrate a stored trace record.
 
-    Reads all three layouts: the binary sidecar-descriptor format (the
-    ``hidden`` dict names a ``.bin`` block — needs ``directory`` or a
-    ``reader`` to resolve it, served as a zero-copy mmap view), the
-    inline base64 columnar format, and the legacy per-step-blob format
-    still found in pre-``hidden-v2`` stores.
+    The record's ``hidden`` descriptor names a block of a ``.bin``
+    sidecar, resolved through ``reader`` (or a fresh one over
+    ``directory``) as a read-only zero-copy mmap view; each step's
+    ``hidden`` is a row of it.
     """
-    if "hidden" in record:
-        hidden = record["hidden"]
-        if "bin" in hidden:
-            if reader is None:
-                if directory is None:
-                    raise ValueError(
-                        "binary trace record references a .bin sidecar; pass "
-                        "the segment directory (or a reader) to resolve it"
-                    )
-                reader = _BinReader(directory)
-            stack = reader.view(hidden)
-        else:
-            stack = _decode_array(hidden)
-        steps = [_step_from_record(step, stack[i]) for i, step in enumerate(record["steps"])]
-        return GenerationTrace(
-            instance_id=record["instance_id"],
-            steps=steps,
-            aborted=record["aborted"],
-            hidden_stack=stack,
-        )
+    if reader is None:
+        if directory is None:
+            raise ValueError(
+                "a trace record references a .bin sidecar; pass the "
+                "segment directory (or a reader) to resolve it"
+            )
+        reader = _BinReader(directory)
+    stack = reader.view(record["hidden"])
     return GenerationTrace(
         instance_id=record["instance_id"],
-        steps=[_step_from_record(step, _decode_array(step["hidden"])) for step in record["steps"]],
+        steps=[
+            GenerationStep(**step, hidden=stack[i]) for i, step in enumerate(record["steps"])
+        ],
         aborted=record["aborted"],
+        hidden_stack=stack,
     )
-
-
-def _rebinarize_value(
-    value, bin_name: str, bin_offset: int, read_block
-) -> "tuple[dict, bytes | None, bool]":
-    """One compaction step: ``value`` rewritten against the new sidecar.
-
-    Returns ``(new_value, block_bytes, was_legacy)``. Already-binary
-    records are relocated by raw byte copy (no decode); inline-base64
-    and legacy per-step-blob records are transcoded to one little-endian
-    columnar block. Values with no tensor payload (or unrecognized
-    shapes) pass through with ``block_bytes=None``.
-    """
-    if not isinstance(value, dict):
-        return value, None, False
-    ref = _bin_reference(value)
-    if ref is not None:
-        block = read_block(str(ref["bin"]), int(ref["offset"]), int(ref["length"]))
-        hidden = dict(ref)
-        hidden.update(bin=bin_name, offset=int(bin_offset))
-        return {**value, "hidden": hidden}, block, False
-    hidden = value.get("hidden")
-    if isinstance(hidden, dict) and "b64" in hidden:
-        stack = _little_endian(_decode_array(hidden))
-    elif "hidden" not in value and value.get("steps"):
-        # Legacy per-step blobs: stack them columnar, strip the blobs.
-        steps = value["steps"]
-        if not all(isinstance(step.get("hidden"), dict) for step in steps):
-            return value, None, False
-        stack = _little_endian(np.stack([_decode_array(s["hidden"]) for s in steps]))
-        value = {
-            **value,
-            "steps": [{k: v for k, v in s.items() if k != "hidden"} for s in steps],
-        }
-    elif "hidden" not in value and not value.get("steps"):
-        stack = _little_endian(np.zeros((0, 0, 0)))
-    else:
-        return value, None, False
-    descriptor = {
-        "dtype": stack.dtype.str,
-        "shape": [int(n) for n in stack.shape],
-        "bin": bin_name,
-        "offset": int(bin_offset),
-        "length": int(stack.nbytes),
-    }
-    return {**value, "hidden": descriptor}, stack.tobytes(), True
 
 
 # -- the compacted SQLite index tier ------------------------------------------
@@ -645,18 +495,11 @@ class PersistentGenerationCache(GenerationCache):
         cache_dir: "str | Path",
         namespace: str = "default",
         use_index: bool = True,
-        codec: "str | None" = None,
     ):
         super().__init__()
         self.cache_dir = Path(cache_dir)
         self.namespace = str(namespace)
         self.use_index = bool(use_index)
-        codec = codec or os.environ.get(CODEC_ENV) or BINARY_CODEC
-        if codec not in (BASE64_CODEC, BINARY_CODEC):
-            raise ValueError(f"unknown store codec {codec!r}")
-        self.codec = codec
-        #: Set by :meth:`compact`: ``{"entries": n, "transcoded": n}``.
-        self.last_compaction: "dict | None" = None
         self._disk_hits = 0  # guarded-by: self._lock
         self._io_lock = threading.Lock()
         self._disk_index: dict[str, dict] = {}  # guarded-by: self._io_lock
@@ -792,14 +635,9 @@ class PersistentGenerationCache(GenerationCache):
         By default (``index=None`` → this cache's ``use_index``) a
         :class:`SqliteSegmentIndex` is rebuilt over the compacted
         segment so cold lookups become O(1) point reads instead of full
-        segment scans.
-
-        Compaction is also the store's format migrator: every record is
-        rewritten in the binary sidecar layout — already-binary blocks
-        are copied byte-for-byte without decoding, legacy inline-base64
-        and per-step-blob records are transcoded. Returns the number of
-        distinct entries kept; the breakdown (including the transcode
-        count) lands in :attr:`last_compaction`.
+        segment scans. Tensor blocks are copied byte-for-byte into one
+        new sidecar, without decoding. Returns the number of distinct
+        entries kept.
         """
         build_index = self.use_index if index is None else bool(index)
         with self._io_lock:
@@ -821,9 +659,7 @@ class PersistentGenerationCache(GenerationCache):
                 self._index = None
             directory = self.directory
             if not directory.is_dir():
-                self.last_compaction = {"entries": 0, "transcoded": 0}
                 return 0
-            _check_store_format(directory, stamp=True)
             # Full independent rescan — including this instance's own
             # segment and any segments an index let refreshes skip.
             entries: dict[str, dict] = {}
@@ -838,12 +674,15 @@ class PersistentGenerationCache(GenerationCache):
             stale_bins = sorted(directory.glob(f"*{BIN_SUFFIX}"))
             sources: dict[str, object] = {}  # old sidecar name -> read handle
 
-            def read_block(name: str, at: int, length: int) -> bytes:
+            def read_block(ref: dict) -> bytes:
+                name, length = str(ref["bin"]), int(ref["length"])
+                if length == 0:  # a zero-step trace: its sidecar may be gone
+                    return b""
                 handle = sources.get(name)
                 if handle is None:
                     handle = (directory / name).open("rb")
                     sources[name] = handle
-                handle.seek(at)
+                handle.seek(int(ref["offset"]))
                 block = handle.read(length)
                 if len(block) != length:
                     raise ValueError(f"short read from sidecar {name}")
@@ -852,20 +691,18 @@ class PersistentGenerationCache(GenerationCache):
             rows: list[tuple[str, str, int, int]] = []
             offset = 0
             bin_offset = 0
-            transcoded = 0
             try:
                 with target.open("wb") as handle, bin_target.open("wb") as bin_handle:
                     for address in sorted(entries):
-                        entry = dict(entries[address])
-                        value, block, was_legacy = _rebinarize_value(
-                            entry.get("v"), bin_target.name, bin_offset, read_block
-                        )
-                        if block is not None:
-                            bin_handle.write(block)
-                            bin_offset += len(block)
-                            entry["v"] = value
+                        entry = entries[address]
+                        ref = _bin_reference(entry.get("v"))
+                        if ref is not None:
+                            # Relocate the tensor block byte-for-byte, no decode.
+                            bin_handle.write(read_block(ref))
+                            hidden = {**ref, "bin": bin_target.name, "offset": bin_offset}
+                            entry = {**entry, "v": {**entry["v"], "hidden": hidden}}
                             entries[address] = entry
-                            transcoded += int(was_legacy)
+                            bin_offset += int(ref["length"])
                         line = (json.dumps(entry, sort_keys=True) + "\n").encode("utf8")
                         handle.write(line)
                         rows.append((address, target.name, offset, len(line)))
@@ -896,7 +733,6 @@ class PersistentGenerationCache(GenerationCache):
                 (directory / INDEX_NAME).unlink(missing_ok=True)
                 self._disk_index = {entry["k"]: entry["v"] for entry in entries.values()}
             self._offsets = {target.name: offset}
-            self.last_compaction = {"entries": len(entries), "transcoded": transcoded}
             return len(entries)
 
     # -- disk plumbing -------------------------------------------------------
@@ -996,7 +832,6 @@ class PersistentGenerationCache(GenerationCache):
         with self._io_lock:
             if self._handle is None:
                 self.directory.mkdir(parents=True, exist_ok=True)
-                _check_store_format(self.directory, stamp=self.codec == BINARY_CODEC)
                 # repro-lint: ignore[determinism] uniqueness token for this writer's private segment name; never reaches record bytes
                 name = f"w-{os.getpid()}-{os.urandom(4).hex()}.jsonl"
                 self._segment_path = self.directory / name
@@ -1017,31 +852,26 @@ class PersistentGenerationCache(GenerationCache):
                     )
                 )
                 self._handle = self._segment_path.open("a", encoding="utf8", newline="\n")
-                if self.codec == BINARY_CODEC:
-                    bin_path = self._segment_path.with_suffix(BIN_SUFFIX)
-                    self._bin_handle = bin_path.open("ab")
-                    self._bin_offset = 0
-            if self.codec == BINARY_CODEC:
-                # Sidecar bytes land (and are flushed) before the
-                # manifest line: a manifest entry implies its block.
-                stack = _little_endian(value.hidden_matrix())
-                self._bin_handle.write(stack.tobytes())
-                self._bin_handle.flush()
-                record = {
-                    "instance_id": value.instance_id,
-                    "aborted": bool(value.aborted),
-                    "hidden": {
-                        "dtype": stack.dtype.str,
-                        "shape": [int(n) for n in stack.shape],
-                        "bin": self._segment_path.with_suffix(BIN_SUFFIX).name,
-                        "offset": int(self._bin_offset),
-                        "length": int(stack.nbytes),
-                    },
-                    "steps": _steps_to_records(value),
-                }
-                self._bin_offset += stack.nbytes
-            else:
-                record = trace_to_record(value)
+                self._bin_handle = self._segment_path.with_suffix(BIN_SUFFIX).open("ab")
+                self._bin_offset = 0
+            # Sidecar bytes land (and are flushed) before the manifest
+            # line: a manifest entry implies its block.
+            stack = _little_endian(value.hidden_matrix())
+            self._bin_handle.write(stack.tobytes())
+            self._bin_handle.flush()
+            record = {
+                "instance_id": value.instance_id,
+                "aborted": bool(value.aborted),
+                "hidden": {
+                    "dtype": stack.dtype.str,
+                    "shape": [int(n) for n in stack.shape],
+                    "bin": self._segment_path.with_suffix(BIN_SUFFIX).name,
+                    "offset": int(self._bin_offset),
+                    "length": int(stack.nbytes),
+                },
+                "steps": _steps_to_records(value),
+            }
+            self._bin_offset += stack.nbytes
             entry = {"k": address, "kind": kind, "v": record}
             self._handle.write(json.dumps(entry, sort_keys=True) + "\n")
             self._handle.flush()
@@ -1053,7 +883,6 @@ class PersistentGenerationCache(GenerationCache):
             "cache_dir": str(self.cache_dir),
             "namespace": self.namespace,
             "use_index": self.use_index,
-            "codec": self.codec,
         }
 
     def __setstate__(self, state: dict) -> None:
@@ -1061,7 +890,6 @@ class PersistentGenerationCache(GenerationCache):
             state["cache_dir"],
             namespace=state["namespace"],
             use_index=state.get("use_index", True),
-            codec=state.get("codec"),
         )
 
 
@@ -1122,10 +950,8 @@ def store_stats(
 
     Scans segments at rest (no cache instance, no writers needed):
     distinct addresses, raw record counts (duplicates included — the
-    compaction headroom), per-kind tallies, the per-codec mix (how many
-    records and tensor bytes still sit in the legacy base64 layout vs
-    binary sidecar blocks — the migration dashboard), byte footprint,
-    and whether a compacted SQLite index covers the namespace.
+    compaction headroom), per-kind tallies, byte footprint, and whether
+    a compacted SQLite index covers the namespace.
     ``namespaces`` restricts the (potentially expensive) scan to the
     named ones.
     """
@@ -1139,7 +965,6 @@ def store_stats(
             segments = sorted(ns_dir.glob("*.jsonl"))
             addresses: set[str] = set()
             kinds: dict[str, int] = {}
-            codecs: dict[str, dict] = {}
             records = 0
             total_bytes = 0
             for sidecar in sorted(ns_dir.glob(f"*{BIN_SUFFIX}")):
@@ -1151,10 +976,6 @@ def store_stats(
                     addresses.add(entry["k"])
                     kind = str(entry.get("kind", "unknown"))
                     kinds[kind] = kinds.get(kind, 0) + 1
-                    codec, nbytes = _record_codec(entry.get("v"))
-                    tally = codecs.setdefault(codec, {"records": 0, "bytes": 0})
-                    tally["records"] += 1
-                    tally["bytes"] += nbytes
             index = SqliteSegmentIndex(ns_dir)
             indexed = index.exists()
             index_entries = 0
@@ -1169,29 +990,8 @@ def store_stats(
                 "entries": len(addresses),
                 "bytes": total_bytes,
                 "kinds": dict(sorted(kinds.items())),
-                "codecs": dict(sorted(codecs.items())),
                 "indexed": indexed,
                 "index_entries": index_entries,
                 "active_writers": len(active_writer_locks(ns_dir)),
             }
     return {"cache_dir": str(cache_dir), "namespaces": namespaces}
-
-
-def _record_codec(value) -> "tuple[str, int]":
-    """``(codec, tensor_bytes)`` of one stored value record."""
-    if not isinstance(value, dict):
-        return "unknown", 0
-    ref = _bin_reference(value)
-    if ref is not None:
-        return BINARY_CODEC, int(ref["length"])
-    hidden = value.get("hidden")
-    if isinstance(hidden, dict) and "b64" in hidden:
-        return BASE64_CODEC, _b64_nbytes(hidden["b64"])
-    if "hidden" not in value and value.get("steps"):
-        nbytes = sum(
-            _b64_nbytes(step["hidden"]["b64"])
-            for step in value["steps"]
-            if isinstance(step.get("hidden"), dict) and "b64" in step["hidden"]
-        )
-        return BASE64_CODEC, nbytes
-    return "unknown", 0

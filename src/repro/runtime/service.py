@@ -692,24 +692,24 @@ class GenerationService:
         if not self._persistent:
             return _MISS
         record, tier = self.cache.probe_disk(self.cache.address(key))
-        if record is None:
+        trace = _MISS
+        if record is not None:
+            try:
+                # record_to_trace resolves binary sidecar blocks through the
+                # cache's shared mmap reader — a zero-copy view, no decode.
+                trace = self.cache.record_to_trace(record)
+            except (OSError, ValueError, KeyError):
+                pass  # torn/vanished sidecar: that tier's miss; recompute and respill
+        # A tier hit means a served trace, not merely a found record.
+        hit = trace is not _MISS
+        if tier == SQLITE_TIER:  # an index was actually consulted
             self._count(SEGMENT_TIER, hit=False)
-            if tier == SQLITE_TIER:  # an index was actually consulted
-                self._count(SQLITE_TIER, hit=False)
-            return _MISS
-        if tier == SQLITE_TIER:
-            self._count(SEGMENT_TIER, hit=False)
-            self._count(SQLITE_TIER, hit=True)
+            self._count(SQLITE_TIER, hit=hit)
         else:
-            self._count(SEGMENT_TIER, hit=True)
-        try:
-            # record_to_trace resolves binary sidecar blocks through the
-            # cache's shared mmap reader — a zero-copy view, no decode.
-            trace = self.cache.record_to_trace(record)
-        except (OSError, ValueError, KeyError):
-            return _MISS  # torn/vanished sidecar: recompute and respill
-        # Hit promotion: cold-tier entries become L1 hits from now on.
-        self.cache.admit(key, trace, disk_hit=True)
+            self._count(SEGMENT_TIER, hit=hit)
+        if hit:
+            # Hit promotion: cold-tier entries become L1 hits from now on.
+            self.cache.admit(key, trace, disk_hit=True)
         return trace
 
     # Shipped to worker processes with a pickled pipeline: the cache

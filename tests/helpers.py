@@ -22,6 +22,7 @@ __all__ = [
     "make_instance",
     "make_trace",
     "assert_traces_equal",
+    "spill_and_reload",
 ]
 
 
@@ -155,3 +156,36 @@ def assert_traces_equal(a, b) -> None:
         assert sa.forced == sb.forced
         assert sa.hidden.dtype == sb.hidden.dtype
         assert np.array_equal(sa.hidden, sb.hidden)
+
+
+def spill_and_reload(cache_dir, traces, namespace: str = "ns") -> list:
+    """Spill ``traces`` into a fresh store and read them back via a new instance.
+
+    Every reload must be a disk hit whose hidden stack is a read-only,
+    zero-copy view over the mapped ``.bin`` sidecar with each step's
+    ``hidden`` a row of it; the reloaded traces are returned in order.
+    """
+    import numpy as np
+    import pytest
+
+    from repro.runtime.persist import PersistentGenerationCache
+
+    writer = PersistentGenerationCache(cache_dir, namespace=namespace)
+    for i, trace in enumerate(traces):
+        writer.get_or_compute(("free", i), lambda t=trace: t)
+    writer.close()
+    reader = PersistentGenerationCache(cache_dir, namespace=namespace)
+    loaded = [
+        reader.get_or_compute(("free", i), lambda: pytest.fail("expected a disk hit"))
+        for i in range(len(traces))
+    ]
+    assert reader.stats.disk_hits == len(traces) and reader.stats.misses == 0
+    for trace in loaded:
+        stack = trace.hidden_stack
+        assert stack is not None
+        assert not stack.flags.writeable and not stack.flags.owndata
+        for i, step in enumerate(trace.steps):
+            assert not step.hidden.flags.writeable
+            assert np.shares_memory(step.hidden, stack[i])
+    reader.close()
+    return loaded

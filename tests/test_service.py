@@ -14,10 +14,12 @@ Pins down the tentpole guarantees:
 * the ``repro-cache`` CLI exposes stats/compaction, ``repro-run``
   honors ``--cache-dir`` / ``REPRO_CACHE_DIR``, and ``repro-sweep
   --progress`` streams to stderr without touching JSON artifacts;
-* store format v2: binary ``.bin`` sidecars rehydrate warm hits as
-  read-only zero-copy mmap views, legacy base64 records stay readable
-  and ``compact``/``migrate`` transcodes them bit-exactly, and torn
-  sidecar tails degrade like torn manifest tails (loadable prefix).
+* the one store format: binary ``.bin`` sidecars rehydrate warm hits
+  as read-only zero-copy mmap views (zero-step traces included),
+  ``compact`` folds segments bit-exactly, torn sidecar tails degrade
+  like torn manifest tails (loadable prefix), a record whose sidecar
+  vanished counts as its tier's miss, and the format version is part
+  of the namespace, so an older store is ignored, never read.
 """
 
 from __future__ import annotations
@@ -30,10 +32,10 @@ import time
 import numpy as np
 import pytest
 
-from helpers import assert_traces_equal, make_trace
+from helpers import assert_traces_equal, make_trace, spill_and_reload
 
 from repro.core.pipeline import RTSPipeline
-from repro.llm.model import SIMULATOR_VERSION, TransparentLLM
+from repro.llm.model import SIMULATOR_VERSION, GenerationTrace, TransparentLLM
 from repro.runtime.cache import CachingLLM
 from repro.runtime.persist import (
     INDEX_NAME,
@@ -43,6 +45,7 @@ from repro.runtime.persist import (
     store_stats,
     trace_from_record,
 )
+from repro.runtime import persist
 from repro.runtime.service import (
     FORCED,
     FREE,
@@ -265,6 +268,37 @@ def test_service_sqlite_tier_after_compaction(tmp_path, table_instances):
     assert tiers["segments"].hits == 0
     assert reader.stats.misses == 0  # the acceptance invariant
     reader.cache.close()
+
+
+@pytest.mark.parametrize("tier", ["segments", "sqlite"])
+def test_a_record_whose_sidecar_vanished_is_that_tiers_miss(tmp_path, table_instances, tier):
+    """A tier hit counts a served trace, not merely a found record."""
+    instances = table_instances[:1]
+    llm = TransparentLLM(seed=11)
+    writer = GenerationService.build(llm, cache_dir=tmp_path)
+    (cold,) = writer.free_traces(instances)
+    namespace = writer.namespace()
+    writer.close()
+    if tier == "sqlite":
+        compactor = PersistentGenerationCache(tmp_path, namespace=namespace)
+        compactor.compact(index=True)
+        compactor.close()
+
+    backend = CountingBackend(SimulatorBackend(llm))
+    reader = GenerationService(
+        backend, cache=PersistentGenerationCache(tmp_path, namespace=namespace)
+    )
+    assert reader.cache.disk_entries() == 1  # the record is found...
+    for sidecar in reader.cache.directory.glob("*.bin"):
+        sidecar.unlink()  # ...but its tensors are gone
+    (warm,) = reader.free_traces(instances)
+    assert_traces_equal(warm, cold)
+    assert backend.batches == [1]
+    tiers = reader.tier_stats
+    assert tiers[tier].hits == 0 and tiers[tier].misses == 1
+    assert tiers["segments"].hits == 0
+    assert reader.stats.disk_hits == 0 and reader.stats.misses == 1
+    reader.close()
 
 
 def test_sqlite_index_agrees_with_segment_scan(tmp_path):
@@ -760,7 +794,7 @@ def test_store_stats_on_empty_or_absent_dir(tmp_path):
     assert store_stats(tmp_path / "nowhere")["namespaces"] == {}
 
 
-# -- binary store format (v2): sidecars, mmap reads, migration ----------------
+# -- the store format: binary sidecars, mmap reads, version in the namespace --
 
 
 def _on_disk():
@@ -768,110 +802,101 @@ def _on_disk():
 
 
 def test_binary_store_round_trip_is_a_read_only_zero_copy_view(tmp_path):
-    trace = make_trace("z0")
-    cache = PersistentGenerationCache(tmp_path, namespace="bin")
-    assert cache.codec == "binary"
-    cache.get_or_compute(("free", "z0"), lambda: trace)
+    traces = [make_trace("z0"), make_trace("z4", n_steps=4)]
+    # spill_and_reload asserts the read-only, zero-copy mmap view.
+    for loaded, trace in zip(spill_and_reload(tmp_path, traces), traces):
+        assert_traces_equal(loaded, trace)
+    assert list((tmp_path / "ns").glob("*.bin")), "the writer left no sidecar"
+
+
+def test_zero_step_trace_is_a_disk_hit_from_a_fresh_segment(tmp_path):
+    """An empty block (a 0-byte sidecar) is served, not recomputed."""
+    empty = GenerationTrace(instance_id="inst-empty", steps=[], aborted=True)
+    (loaded,) = spill_and_reload(tmp_path, [empty])
+    assert_traces_equal(loaded, empty)
+    assert loaded.hidden_stack.shape == (0, 0, 0)
+
+
+def test_compact_folds_binary_segments_bit_exactly(tmp_path):
+    traces = {f"t{i}": make_trace(f"t{i}", n_steps=i + 1) for i in range(3)}
+    traces["empty"] = GenerationTrace(instance_id="inst-empty", steps=[])
+    for name, trace in traces.items():  # one writer, hence one segment, each
+        writer = PersistentGenerationCache(tmp_path, namespace="fold")
+        writer.get_or_compute(("free", name), lambda t=trace: t)
+        writer.close()
+    assert store_stats(tmp_path)["namespaces"]["fold"]["segments"] == len(traces)
+
+    cache = PersistentGenerationCache(tmp_path, namespace="fold")
+    assert cache.compact() == len(traces)
+    cache.close()
     directory = cache.directory
-    cache.close()
-    assert list(directory.glob("*.bin")), "binary codec wrote no sidecar"
-
-    reader = PersistentGenerationCache(tmp_path, namespace="bin")
-    loaded = reader.get_or_compute(("free", "z0"), _on_disk)
-    assert_traces_equal(loaded, trace)
-    # The rehydrated stack is a read-only view over the mapped sidecar,
-    # not a decode-and-copy; per-step hidden rows alias it.
-    assert loaded.hidden_stack is not None
-    assert not loaded.hidden_stack.flags.writeable
-    assert not loaded.hidden_stack.flags.owndata
-    for i, step in enumerate(loaded.steps):
-        assert not step.hidden.flags.writeable
-        assert np.shares_memory(step.hidden, loaded.hidden_stack[i])
-    reader.close()
-
-
-def test_decode_array_is_read_only_unless_writable_requested():
-    from repro.runtime.persist import _decode_array, _encode_array
-
-    arr = np.arange(12.0).reshape(3, 4)
-    record = _encode_array(arr)
-    view = _decode_array(record)
-    assert not view.flags.writeable and not view.flags.owndata
-    np.testing.assert_array_equal(view, arr)
-
-    writable = _decode_array(record, writable=True)
-    assert writable.flags.writeable
-    writable[0, 0] = -1.0  # a private copy: later decodes are untouched
-    np.testing.assert_array_equal(_decode_array(record), arr)
-
-
-def test_mixed_codec_store_reads_both_layouts(tmp_path):
-    old, new = make_trace("old"), make_trace("new")
-    legacy = PersistentGenerationCache(tmp_path, namespace="mix", codec="base64")
-    legacy.get_or_compute(("free", "old"), lambda: old)
-    legacy.close()
-    current = PersistentGenerationCache(tmp_path, namespace="mix")
-    current.get_or_compute(("free", "new"), lambda: new)
-    current.close()
-
-    reader = PersistentGenerationCache(tmp_path, namespace="mix")
-    assert_traces_equal(reader.get_or_compute(("free", "old"), _on_disk), old)
-    assert_traces_equal(reader.get_or_compute(("free", "new"), _on_disk), new)
-    reader.close()
-
-    codecs = store_stats(tmp_path)["namespaces"]["mix"]["codecs"]
-    assert set(codecs) == {"base64", "binary"}
-    for mix in codecs.values():
-        assert mix["records"] == 1 and mix["bytes"] > 0
-
-
-def test_compact_transcodes_legacy_records_bit_exactly(tmp_path):
-    traces = {f"t{i}": make_trace(f"t{i}") for i in range(3)}
-    legacy = PersistentGenerationCache(tmp_path, namespace="mig", codec="base64")
+    assert len(list(directory.glob("*.jsonl"))) == 1
+    assert len(list(directory.glob("*.bin"))) == 1
+    reader = PersistentGenerationCache(tmp_path, namespace="fold")
     for name, trace in traces.items():
-        legacy.get_or_compute(("free", name), lambda t=trace: t)
-    legacy.close()
-
-    cache = PersistentGenerationCache(tmp_path, namespace="mig")
-    traces["t3"] = make_trace("t3")
-    cache.get_or_compute(("free", "t3"), lambda: traces["t3"])
-    assert cache.compact() == 4
-    assert cache.last_compaction == {"entries": 4, "transcoded": 3}
+        assert_traces_equal(reader.get_or_compute(("free", name), _on_disk), trace)
+    assert reader.stats.misses == 0
+    reader.close()
+    # Compacting the compacted store again is a bit-exact no-op.
+    again = PersistentGenerationCache(tmp_path, namespace="fold")
+    assert again.compact(index=False) == len(traces)
     for name, trace in traces.items():
-        assert_traces_equal(cache.get_or_compute(("free", name), _on_disk), trace)
-    cache.close()
-
-    stats = store_stats(tmp_path)["namespaces"]["mig"]
-    assert set(stats["codecs"]) == {"binary"}
-    assert stats["segments"] == 1
+        assert_traces_equal(again.get_or_compute(("free", name), _on_disk), trace)
+    again.close()
 
 
-def test_env_codec_override_writes_the_legacy_layout(tmp_path, monkeypatch):
-    from repro.runtime.persist import CODEC_ENV
+def _parent_layout_namespace(*identity) -> str:
+    """The namespace digest before the format version joined it."""
+    import hashlib
 
-    monkeypatch.setenv(CODEC_ENV, "base64")
-    cache = PersistentGenerationCache(tmp_path, namespace="env")
-    assert cache.codec == "base64"
-    cache.get_or_compute(("free", "k"), lambda: make_trace("k"))
-    directory = cache.directory
-    cache.close()
-    assert not list(directory.glob("*.bin"))
-    codecs = store_stats(tmp_path)["namespaces"]["env"]["codecs"]
-    assert set(codecs) == {"base64"}
+    digest = hashlib.blake2b(digest_size=8)
+    for part in identity:
+        digest.update(repr(part).encode("utf8"))
+        digest.update(b"\x1f")
+    return f"llm-{digest.hexdigest()}"
 
 
-def test_unknown_codec_is_rejected(tmp_path):
-    with pytest.raises(ValueError, match="codec"):
-        PersistentGenerationCache(tmp_path, namespace="bad", codec="msgpack")
+def test_store_format_version_bump_ignores_older_stores(
+    tmp_path, table_instances, monkeypatch
+):
+    import base64
 
+    llm = TransparentLLM(seed=11)
+    identity = SimulatorBackend(llm).identity()
+    current = generation_namespace(*identity)
+    monkeypatch.setattr(persist, "STORE_FORMAT_VERSION", persist.STORE_FORMAT_VERSION + 1)
+    assert generation_namespace(*identity) != current
+    monkeypatch.undo()
+    assert generation_namespace(*identity) == current
 
-def test_future_store_format_version_is_refused(tmp_path):
-    cache = PersistentGenerationCache(tmp_path, namespace="fut")
-    cache.directory.mkdir(parents=True)
-    (cache.directory / "format.json").write_text(json.dumps({"version": 99}))
-    with pytest.raises(RuntimeError, match="format"):
-        cache.get_or_compute(("free", "k"), lambda: make_trace("k"))
-    cache.close()
+    # An older store: the pre-version namespace, a format marker and an
+    # inline-tensor record for the very request about to be served.
+    request = GenerationRequest(FREE, table_instances[0])
+    trace = llm.generate(table_instances[0])
+    old = PersistentGenerationCache(tmp_path, namespace=_parent_layout_namespace(*identity))
+    old.directory.mkdir(parents=True)
+    hidden = np.ascontiguousarray(trace.hidden_matrix())
+    record = {
+        "instance_id": trace.instance_id,
+        "aborted": trace.aborted,
+        "hidden": {
+            "dtype": hidden.dtype.str,
+            "shape": list(hidden.shape),
+            "b64": base64.b64encode(hidden.tobytes()).decode("ascii"),
+        },
+        "steps": persist._steps_to_records(trace),
+    }
+    entry = {"k": old.address(request.key), "kind": FREE, "v": record}
+    (old.directory / "format.json").write_text(json.dumps({"version": 2}) + "\n")
+    (old.directory / "w-1-00000000.jsonl").write_text(json.dumps(entry) + "\n")
+    before = {p.name: p.read_bytes() for p in old.directory.iterdir()}
+
+    service = GenerationService.build(llm, cache_dir=tmp_path)
+    assert service.namespace() == current != old.namespace
+    assert_traces_equal(service.generate_one(request), trace)
+    assert service.stats.disk_hits == 0 and service.stats.misses == 1
+    service.close()
+    assert {p.name: p.read_bytes() for p in old.directory.iterdir()} == before
 
 
 def test_truncated_bin_sidecar_degrades_like_a_truncated_manifest(tmp_path):
@@ -922,27 +947,3 @@ def test_missing_bin_sidecar_drops_only_that_segments_entries(tmp_path):
     )
     assert reader.stats.misses == 1
     reader.close()
-
-
-def test_cache_cli_migrate_alias_reports_transcodes(tmp_path, capsys):
-    from repro.runtime.cli import main_cache
-
-    legacy = PersistentGenerationCache(tmp_path, namespace="ns", codec="base64")
-    for i in range(2):
-        legacy.get_or_compute(("free", f"k{i}"), lambda i=i: make_trace(f"k{i}"))
-    legacy.close()
-
-    assert main_cache(["migrate", "--cache-dir", str(tmp_path)]) == 0
-    captured = capsys.readouterr()
-    report = json.loads(captured.out)["compacted"]["ns"]
-    assert report["transcoded"] == 2 and report["entries"] == 2
-    assert "transcoded 2 legacy" in captured.err
-
-    assert main_cache(["stats", "--cache-dir", str(tmp_path)]) == 0
-    stats = json.loads(capsys.readouterr().out)["namespaces"]["ns"]
-    assert set(stats["codecs"]) == {"binary"}
-
-    # An already-binary store migrates to a no-op: nothing to transcode.
-    assert main_cache(["migrate", "--cache-dir", str(tmp_path)]) == 0
-    report = json.loads(capsys.readouterr().out)["compacted"]["ns"]
-    assert report["transcoded"] == 0 and report["entries"] == 2

@@ -17,7 +17,7 @@ import threading
 
 import pytest
 
-from helpers import assert_traces_equal, make_trace
+from helpers import assert_traces_equal, make_trace, spill_and_reload
 
 from repro.llm.model import SIMULATOR_VERSION, TransparentLLM
 from repro.runtime.cache import CacheStats, CachingLLM
@@ -25,7 +25,6 @@ from repro.runtime.persist import (
     PersistentGenerationCache,
     generation_namespace,
     trace_from_record,
-    trace_to_record,
 )
 from repro.runtime.sweep import (
     STATS_NAME,
@@ -125,19 +124,27 @@ def test_cache_stats_arithmetic():
 # -- trace serialization ------------------------------------------------------
 
 
-def test_trace_record_roundtrip_is_exact():
+def test_trace_record_roundtrip_is_exact(tmp_path):
+    """A stored manifest record is plain JSON that rehydrates bit-exactly."""
     trace = make_trace("roundtrip", n_steps=4)
-    payload = json.loads(json.dumps(trace_to_record(trace), sort_keys=True))
-    assert_traces_equal(trace_from_record(payload), trace)
+    cache = PersistentGenerationCache(tmp_path, namespace="ns")
+    cache.get_or_compute(("free", "k"), lambda: trace)
+    cache.close()
+    reader = PersistentGenerationCache(tmp_path, namespace="ns")
+    record, tier = reader.probe_disk(reader.address(("free", "k")))
+    assert tier == "segments"
+    payload = json.loads(json.dumps(record, sort_keys=True))
+    assert_traces_equal(trace_from_record(payload, directory=reader.directory), trace)
+    reader.close()
 
 
-def test_trace_roundtrip_from_real_llm(bird_tiny):
+def test_trace_roundtrip_from_real_llm(bird_tiny, tmp_path):
     from repro.core.pipeline import RTSPipeline
 
     llm = TransparentLLM(seed=11)
     instance = RTSPipeline.instance_for(bird_tiny.dev.examples[0], bird_tiny, "table")
-    for trace in (llm.generate(instance), llm.teacher_forced_trace(instance)):
-        restored = trace_from_record(json.loads(json.dumps(trace_to_record(trace))))
+    traces = [llm.generate(instance), llm.teacher_forced_trace(instance)]
+    for restored, trace in zip(spill_and_reload(tmp_path, traces), traces):
         assert_traces_equal(restored, trace)
 
 

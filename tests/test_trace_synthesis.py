@@ -19,6 +19,7 @@ Pins the tentpole guarantees:
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -27,7 +28,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import assert_traces_equal, make_instance, make_racing_db, make_trace
+from helpers import (
+    assert_traces_equal,
+    make_instance,
+    make_racing_db,
+    make_trace,
+    spill_and_reload,
+)
 
 import repro.llm.hidden
 from repro.core.pipeline import RTSPipeline
@@ -43,8 +50,6 @@ from repro.llm.tokenizer import detokenize
 from repro.runtime.persist import (
     PersistentGenerationCache,
     generation_namespace,
-    trace_from_record,
-    trace_to_record,
 )
 from repro.runtime.service import GenerationService, SimulatorBackend
 from repro.utils.rng import spawn
@@ -260,46 +265,22 @@ class TestNamespaceBump:
 
 
 class TestColumnarRecords:
-    def test_fast_trace_roundtrips_columnar(self, llm, instances):
+    def test_fast_trace_roundtrips_columnar(self, llm, instances, tmp_path):
         trace = llm.teacher_forced_trace(instances[0])
-        record = trace_to_record(trace)
-        assert "hidden" in record  # one block for the whole trace...
+        (back,) = spill_and_reload(tmp_path, [trace])
+        (segment,) = (tmp_path / "ns").glob("*.jsonl")
+        record = json.loads(segment.read_text())["v"]
+        assert "bin" in record["hidden"]  # one block for the whole trace...
         assert all("hidden" not in step for step in record["steps"])  # ...not per step
-        back = trace_from_record(record)
         assert_traces_equal(trace, back)
-        assert back.hidden_stack is not None
         assert np.array_equal(back.hidden_stack, trace.hidden_matrix())
 
-    def test_stepwise_trace_roundtrips(self):
+    def test_stepwise_trace_roundtrips(self, tmp_path):
         trace = make_trace("columnar", n_steps=3)
-        back = trace_from_record(trace_to_record(trace))
+        assert trace.hidden_stack is None
+        (back,) = spill_and_reload(tmp_path, [trace])
         assert_traces_equal(trace, back)
-
-    def test_legacy_per_step_records_still_rehydrate(self):
-        from repro.runtime.persist import _encode_array
-
-        trace = make_trace("legacy", n_steps=2)
-        legacy = {
-            "instance_id": trace.instance_id,
-            "aborted": False,
-            "steps": [
-                {
-                    "position": step.position,
-                    "proposed": step.proposed,
-                    "hidden": _encode_array(step.hidden),
-                    "max_prob": step.max_prob,
-                    "item_index": step.item_index,
-                    "within_index": step.within_index,
-                    "is_branching": step.is_branching,
-                    "committed": step.committed,
-                    "forced": step.forced,
-                }
-                for step in trace.steps
-            ],
-        }
-        back = trace_from_record(legacy)
-        assert_traces_equal(trace, back)
-        assert back.hidden_stack is None
+        assert np.array_equal(back.hidden_stack, trace.hidden_matrix())
 
 
 # -- dataset assembly ----------------------------------------------------------
